@@ -17,11 +17,15 @@ race:
 
 # The perf-trajectory artifact: run the full deterministic benchmark suite
 # (streaming decode, drain-and-stitch capture, multi-seed sweep, proday
-# end to end, fleet ingest, live serving tier) and write BENCH_9.json — the artifact
-# scripts/bench_check.sh gates regressions against. Bump the artifact
-# number alongside the ISSUE/PR number.
+# end to end, fleet ingest, live serving tier) and write BENCH_<n+1>.json, one
+# past the newest committed artifact — picked by the same numeric sort
+# scripts/bench_check.sh uses to choose its baseline, so the number never
+# needs a manual bump.
 bench:
-	$(GO) run ./cmd/kprof -bench BENCH_9.json
+	@n=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 | tr -dc 0-9); \
+	out=BENCH_$$(( $${n:-0} + 1 )).json; \
+	echo "make bench: writing $$out"; \
+	$(GO) run ./cmd/kprof -bench $$out
 
 # Regression gate: quick benchmark run compared against the newest
 # committed BENCH_*.json (>15 % slower or more allocs per record fails).

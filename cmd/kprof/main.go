@@ -105,7 +105,6 @@ func main() {
 		faultsOn   = flag.Bool("faults", false, "inject deterministic hardware faults into the capture (robustness testing)")
 		faultRate  = flag.Float64("faultrate", 0.01, "per-strobe fault probability in [0,1] (needs -faults)")
 		faultSeed  = flag.Uint64("faultseed", 1, "fault-injector seed; sweeps derive a per-seed stream from it (needs -faults)")
-		pipeline   = flag.Bool("pipeline", false, "decode drained segments on a background goroutine, overlapping readout with analysis (needs -drain)")
 		benchOut   = flag.String("bench", "", "run the benchmark suite and write the BENCH json artifact to this file (- for stdout)")
 		benchQuick = flag.Bool("benchquick", false, "trim the benchmark suite to the fast check-in configuration (needs -bench)")
 		benchCmp   = flag.String("benchcmp", "", "compare two BENCH json artifacts, 'old.json,new.json'; exits 1 on regression")
@@ -121,6 +120,10 @@ func main() {
 		budgetOvh  = flag.Int64("budgetoverhead", 0, "trigger-overhead budget in microseconds for -budget (0 = unconstrained)")
 	)
 	flag.Parse()
+	if err := checkDrainFlags(*drain, *highWater, *drainEvery); err != nil {
+		fmt.Fprintln(os.Stderr, "kprof:", err)
+		os.Exit(1)
+	}
 
 	if *benchCmp != "" {
 		if err := runBenchCmp(*benchCmp, *benchTol); err != nil {
@@ -212,7 +215,7 @@ func main() {
 	if *drain {
 		mode = core.CaptureContinuous
 	}
-	drainCfg := core.DrainConfig{HighWater: *highWater, Interval: sim.Time(drainEvery.Nanoseconds()), Pipeline: *pipeline}
+	drainCfg := core.DrainConfig{HighWater: *highWater, Interval: sim.Time(drainEvery.Nanoseconds())}
 	var faultCfg *faults.Config
 	if *faultsOn {
 		if *faultRate < 0 || *faultRate > 1 {
@@ -369,6 +372,20 @@ func main() {
 	}
 	printReport(a, m, *report, *top, *maxlines, *fn)
 	finish(a)
+}
+
+// checkDrainFlags rejects drain tuning without -drain, which a one-shot run
+// would otherwise silently ignore.
+func checkDrainFlags(drain bool, highWater int, interval time.Duration) error {
+	switch {
+	case drain:
+		return nil
+	case highWater != 0:
+		return fmt.Errorf("-highwater %d needs -drain", highWater)
+	case interval != 0:
+		return fmt.Errorf("-draininterval %v needs -drain", interval)
+	}
+	return nil
 }
 
 // runFleet builds the fleet from the mix spec, runs it through the ingest

@@ -113,7 +113,7 @@ func (g *CallGraph) Arcs() []*Arc {
 // WriteFunction renders one function's call-graph block: callers above,
 // callees below, gprof-style.
 func (g *CallGraph) WriteFunction(w io.Writer, name string) error {
-	ew := &errWriter{w: w}
+	ew := &ErrWriter{W: w}
 	callers := g.Callers(name)
 	callees := g.Callees(name)
 	if len(callers) == 0 && len(callees) == 0 {
@@ -131,12 +131,12 @@ func (g *CallGraph) WriteFunction(w io.Writer, name string) error {
 	for _, arc := range callees {
 		fmt.Fprintf(ew, "    %8d calls %10d us   to   %s\n", arc.Count, arc.Time.Micros(), arc.Callee)
 	}
-	return ew.err
+	return ew.Err
 }
 
 // Write renders the top arcs of the whole graph.
 func (g *CallGraph) Write(w io.Writer, top int) error {
-	ew := &errWriter{w: w}
+	ew := &ErrWriter{W: w}
 	arcs := g.Arcs()
 	if top > 0 && len(arcs) > top {
 		arcs = arcs[:top]
@@ -149,7 +149,7 @@ func (g *CallGraph) Write(w io.Writer, top int) error {
 		}
 		fmt.Fprintf(ew, "%-24s %-24s %8d %12d\n", from, arc.Callee, arc.Count, arc.Time.Micros())
 	}
-	return ew.err
+	return ew.Err
 }
 
 // String renders the top 30 arcs.

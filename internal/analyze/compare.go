@@ -107,7 +107,7 @@ func abs64(x float64) float64 {
 // so a short report is all movers; functions present in only one run
 // render as "+new" / "gone" rather than a misleading 0.00%.
 func (c *Comparison) Write(w io.Writer, top int) error {
-	ew := &errWriter{w: w}
+	ew := &ErrWriter{W: w}
 	fmt.Fprintf(ew, "idle: %5.2f%% -> %5.2f%%\n", 100*c.BeforeIdle, 100*c.AfterIdle)
 	fmt.Fprintf(ew, "%-20s %9s %9s %8s %10s %10s\n",
 		"function", "before%", "after%", "change", "us/call", "->us/call")
@@ -138,7 +138,7 @@ func (c *Comparison) Write(w io.Writer, top int) error {
 				d.BeforePerCall.Micros(), d.AfterPerCall.Micros())
 		}
 	}
-	return ew.err
+	return ew.Err
 }
 
 // String renders the top 20 movers.

@@ -21,6 +21,44 @@ func pushAll(t *testing.T, c hw.Capture, repair RepairConfig) ([]Event, DecodeSt
 	return events, d.Stats()
 }
 
+// Decoder.PushBatch must emit exactly the events record-at-a-time Push
+// does, with the same stats, wherever the bank boundaries fall: banks of
+// one or a few records leave a suspect stamp pending across the boundary,
+// so the batch scan drops to the repair path and must resume cleanly.
+func TestDecoderPushBatchMatchesPush(t *testing.T) {
+	for _, c := range []hw.Capture{pseudoCapture(5, 1500), pseudoCapture(9, 3000)} {
+		for _, repair := range []RepairConfig{{}, DefaultRepair()} {
+			want, wantStats := pushAll(t, c, repair)
+			if repair.Enabled && wantStats.RepairedTimestamps == 0 {
+				t.Fatal("capture never exercised the repair path")
+			}
+			for _, bank := range []int{1, 7, 64, len(c.Records)} {
+				d := NewRepairingDecoder(c.ClockConfig(), mustTags(t), repair)
+				var got []Event
+				emit := func(ev Event) { got = append(got, ev) }
+				d.PushBatch(nil, emit) // an empty bank before the first record
+				for i := 0; i < len(c.Records); i += bank {
+					d.PushBatch(c.Records[i:min(i+bank, len(c.Records))], emit)
+				}
+				d.Flush(emit)
+				if len(got) != len(want) {
+					t.Fatalf("repair=%v bank %d: PushBatch emitted %d events, Push %d",
+						repair.Enabled, bank, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("repair=%v bank %d: event %d: PushBatch %+v, Push %+v",
+							repair.Enabled, bank, i, got[i], want[i])
+					}
+				}
+				if gotStats := d.Stats(); gotStats != wantStats {
+					t.Fatalf("repair=%v bank %d: stats %+v, want %+v", repair.Enabled, bank, gotStats, wantStats)
+				}
+			}
+		}
+	}
+}
+
 // On a clean stream the repairing Push path and the historical Next path
 // must produce identical events — repair is a no-op when nothing is broken.
 func TestRepairCleanStreamMatchesNext(t *testing.T) {

@@ -61,12 +61,12 @@ func (a *Analysis) Groups(groupOf map[string]string) []*GroupStat {
 
 // WriteGroups renders the subsystem breakdown.
 func WriteGroups(w io.Writer, groups []*GroupStat) error {
-	ew := &errWriter{w: w}
+	ew := &ErrWriter{W: w}
 	fmt.Fprintf(ew, "%-16s %6s %8s %10s %7s\n", "subsystem", "fns", "calls", "net us", "% net")
 	for _, g := range groups {
 		fmt.Fprintf(ew, "%-16s %6d %8d %10d %6.2f%%\n", g.Name, g.Fns, g.Calls, g.Net.Micros(), g.PctNet)
 	}
-	return ew.err
+	return ew.Err
 }
 
 // GroupsString renders the subsystem breakdown to a string.

@@ -79,7 +79,7 @@ func (a *Analysis) HistogramOf(name string) *Histogram {
 
 // Write renders the histogram as an ASCII bar chart.
 func (h *Histogram) Write(w io.Writer) error {
-	ew := &errWriter{w: w}
+	ew := &ErrWriter{W: w}
 	fmt.Fprintf(ew, "%s: %d calls\n", h.Name, h.Total)
 	max := 0
 	for _, b := range h.Buckets {
@@ -97,7 +97,7 @@ func (h *Histogram) Write(w io.Writer) error {
 		}
 		fmt.Fprintf(ew, "%8d-%-8d us %6d %s\n", b.Lo.Micros(), b.Hi.Micros(), b.Count, bar)
 	}
-	return ew.err
+	return ew.Err
 }
 
 // String renders the histogram.

@@ -8,22 +8,23 @@ import (
 	"kprof/internal/sim"
 )
 
-// errWriter passes writes through to w until one fails, then swallows
-// the rest and remembers the first error — so report renderers can stay
+// ErrWriter passes writes through to W until one fails, then swallows
+// the rest and remembers the first error in Err — so report renderers (in
+// this package and the sweep, pgo and fleet reports) can stay
 // straight-line sequences of Fprintfs and still report a full disk or a
 // closed pipe instead of pretending success.
-type errWriter struct {
-	w   io.Writer
-	err error
+type ErrWriter struct {
+	W   io.Writer
+	Err error
 }
 
-func (ew *errWriter) Write(p []byte) (int, error) {
-	if ew.err != nil {
-		return 0, ew.err
+func (ew *ErrWriter) Write(p []byte) (int, error) {
+	if ew.Err != nil {
+		return 0, ew.Err
 	}
-	n, err := ew.w.Write(p)
+	n, err := ew.W.Write(p)
 	if err != nil {
-		ew.err = err
+		ew.Err = err
 	}
 	return n, err
 }
@@ -33,7 +34,7 @@ func (ew *errWriter) Write(p []byte) (int, error) {
 // then one line per function sorted by net CPU usage — elapsed, net,
 // number of calls, (max/avg/min), % real, % net, name.
 func (a *Analysis) WriteSummary(w io.Writer, top int) error {
-	ew := &errWriter{w: w}
+	ew := &ErrWriter{W: w}
 	elapsed := a.Elapsed()
 	run := a.RunTime()
 	var runPct, idlePct float64
@@ -76,7 +77,7 @@ func (a *Analysis) WriteSummary(w io.Writer, top int) error {
 			fmt.Sprintf("(%d/%d/%d)", s.Max.Micros(), s.Avg().Micros(), s.MinOrZero().Micros()),
 			pctReal, pctNet, s.Name)
 	}
-	return ew.err
+	return ew.Err
 }
 
 // SummaryString renders the summary to a string.
@@ -94,10 +95,10 @@ func (a *Analysis) SummaryString(top int) string {
 // frames) matches the JSON report's dropped_strobes / force_closed_frames
 // fields; see DESIGN.md's schema section.
 func (a *Analysis) WriteSegments(w io.Writer) error {
-	ew := &errWriter{w: w}
+	ew := &ErrWriter{W: w}
 	if len(a.Segments) == 0 {
 		fmt.Fprintln(ew, "single capture (no drain segments)")
-		return ew.err
+		return ew.Err
 	}
 	var records, forced, corrupt int
 	var dropped uint64
@@ -129,7 +130,7 @@ func (a *Analysis) WriteSegments(w io.Writer) error {
 				s.Index, s.Records, s.End.Micros(), s.Dropped, s.ForceClosed, mark)
 		}
 	}
-	return ew.err
+	return ew.Err
 }
 
 // SegmentsString renders the segment summary to a string.
@@ -153,7 +154,7 @@ type TraceOptions struct {
 // frames whose entry line was outside the window), '==' inline marks, and
 // context-switch flags.
 func (a *Analysis) WriteTrace(w io.Writer, opts TraceOptions) error {
-	ew := &errWriter{w: w}
+	ew := &ErrWriter{W: w}
 	to := opts.To
 	if to == 0 {
 		to = a.End + 1
@@ -196,7 +197,7 @@ func (a *Analysis) WriteTrace(w io.Writer, opts TraceOptions) error {
 		}
 		lines++
 	}
-	return ew.err
+	return ew.Err
 }
 
 // TraceString renders the trace to a string.

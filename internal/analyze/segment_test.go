@@ -210,6 +210,38 @@ func TestStitchLossyBoundary(t *testing.T) {
 	if sc.TimedCalls != 1 || sc.Elapsed != 30*sim.Microsecond {
 		t.Fatalf("c: %+v", sc)
 	}
+
+	// A busy capture cut into four segments, two of them lossy, reaches
+	// every loss-boundary branch (open idle windows, suspended processes).
+	// The batch feed Stitch runs must land exactly where record-at-a-time
+	// pushes do, segment table included.
+	whole := pseudoCapture(9, 3000)
+	cuts := []int{0, 700, 1400, 2100, 3000}
+	dropped := []uint64{0, 12, 0, 5}
+	var segs []hw.Capture
+	opts := ReconstructOptions{DiscardEvents: true, DiscardTrace: true, Repair: DefaultRepair()}
+	rc := NewReconstructor(whole.ClockConfig(), tags, opts)
+	for s := 0; s+1 < len(cuts); s++ {
+		seg := whole
+		seg.Records = whole.Records[cuts[s]:cuts[s+1]]
+		seg.Dropped, seg.Overflowed = dropped[s], s == 1
+		segs = append(segs, seg)
+		for _, r := range seg.Records {
+			rc.Push(r)
+		}
+		rc.EndSegment(seg.Dropped, seg.Overflowed)
+	}
+	want := rc.Finish(false, 0)
+	got := Stitch(segs, tags, opts)
+	requireIdentical(t, "lossy segmented feed", got, want)
+	if got.Stats.Dropped != 17 || !got.Stats.Overflowed {
+		t.Fatalf("lossy feed stats %+v, want 17 dropped and overflowed", got.Stats)
+	}
+	for s, seg := range got.Segments {
+		if (seg.Dropped > 0) != (seg.ForceClosed > 0) {
+			t.Fatalf("segment %d: %d dropped but %d force-closed", s, seg.Dropped, seg.ForceClosed)
+		}
+	}
 }
 
 // EndSegment/Finish misuse panics rather than silently corrupting.

@@ -87,7 +87,7 @@ var intensity = []byte(" .:-=+*#%@")
 // Write renders the timeline as rows of intensity characters, one per
 // group, dark cells meaning the group dominated that interval.
 func (tl *Timeline) Write(w io.Writer) error {
-	ew := &errWriter{w: w}
+	ew := &ErrWriter{W: w}
 	if len(tl.Groups) == 0 {
 		_, err := fmt.Fprintln(ew, "(empty capture)")
 		return err
@@ -109,7 +109,7 @@ func (tl *Timeline) Write(w io.Writer) error {
 		}
 		fmt.Fprintf(ew, "%-10s |%s| %6d us\n", g, b.String(), tl.totals[g].Micros())
 	}
-	return ew.err
+	return ew.Err
 }
 
 // String renders the timeline.

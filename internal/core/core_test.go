@@ -430,83 +430,63 @@ func TestReadoutViaSocketMatchesDirectDump(t *testing.T) {
 	}
 }
 
-// The pipelined decoder (readout overlapping decode on a background
-// goroutine) must be invisible in the output: a pipelined continuous run
-// yields a summary and segment accounting byte-identical to the serial
-// lean path over the same seeded workload.
+// The background decoder of a recycling session (readout overlapping
+// decode on a goroutine, buffers reused) must be invisible in the output:
+// its analysis is byte-identical to the record-keeping lean path's over
+// the same seeded workload — recycling changes where the drained bytes
+// live, never what they say.
 func TestPipelinedDecodeMatchesSerial(t *testing.T) {
-	run := func(pipeline bool) (*Session, *analyze.Analysis) {
-		m := NewMachine(kernel.Config{Seed: 11})
-		s, err := NewSession(m, ProfileConfig{
-			Mode:  CaptureContinuous,
-			Depth: 256,
-			Drain: DrainConfig{
-				HighWater: 64,
-				Interval:  20 * sim.Microsecond,
-				Pipeline:  pipeline,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Arm()
-		mallocStorm(m, 300)
-		m.K.Run(2 * sim.Second)
-		s.Disarm()
+	sKeep, sRec := runDrained(t, false), runDrained(t, true)
+	for _, s := range []*Session{sKeep, sRec} {
 		if err := s.DrainErr(); err != nil {
 			t.Fatal(err)
 		}
-		return s, s.AnalyzeLean()
 	}
-	sSer, serial := run(false)
-	sPipe, piped := run(true)
-	if len(sPipe.Segments()) < 2 {
-		t.Fatalf("pipelined run drained only %d segments", len(sPipe.Segments()))
+	if len(sRec.Segments()) < 2 {
+		t.Fatalf("recycling run drained only %d segments", len(sRec.Segments()))
 	}
-	if len(sSer.Segments()) != len(sPipe.Segments()) {
-		t.Fatalf("segment counts differ: serial %d, pipelined %d",
-			len(sSer.Segments()), len(sPipe.Segments()))
+	if len(sKeep.Segments()) != len(sRec.Segments()) {
+		t.Fatalf("segment counts differ: retained %d, recycled %d",
+			len(sKeep.Segments()), len(sRec.Segments()))
 	}
-	if got, want := piped.SummaryString(0), serial.SummaryString(0); got != want {
-		t.Fatalf("pipelined summary differs from serial:\n--- serial\n%s--- pipelined\n%s", want, got)
+	keep, rec := sKeep.AnalyzeLean(), sRec.AnalyzeLean()
+	if got, want := rec.SummaryString(0), keep.SummaryString(0); got != want {
+		t.Fatalf("recycled summary differs from retained:\n--- retained\n%s--- recycled\n%s", want, got)
 	}
-	if len(piped.Segments) != len(serial.Segments) {
-		t.Fatalf("analysis segments differ: serial %d, pipelined %d",
-			len(serial.Segments), len(piped.Segments))
+	if len(rec.Segments) != len(keep.Segments) {
+		t.Fatalf("analysis segments differ: retained %d, recycled %d",
+			len(keep.Segments), len(rec.Segments))
 	}
-	for i := range piped.Segments {
-		if piped.Segments[i] != serial.Segments[i] {
-			t.Fatalf("segment %d differs: serial %+v, pipelined %+v",
-				i, serial.Segments[i], piped.Segments[i])
+	for i := range rec.Segments {
+		if rec.Segments[i] != keep.Segments[i] {
+			t.Fatalf("segment %d differs: retained %+v, recycled %+v",
+				i, keep.Segments[i], rec.Segments[i])
 		}
 	}
-	if piped.Stats != serial.Stats {
-		t.Fatalf("stats differ: serial %+v, pipelined %+v", serial.Stats, piped.Stats)
+	if got, want := rec.SegmentsString(), keep.SegmentsString(); got != want {
+		t.Fatalf("segment tables differ:\n--- retained\n%s--- recycled\n%s", want, got)
 	}
-	// The pipelined result really is the background decoder's work, not a
-	// serial re-decode: a second AnalyzeLean returns the identical object.
-	if sPipe.AnalyzeLean() != piped {
-		t.Fatal("pipelined analysis not cached")
+	if rec.Stats != keep.Stats {
+		t.Fatalf("stats differ: retained %+v, recycled %+v", keep.Stats, rec.Stats)
+	}
+	// The recycled result really is the background decoder's work, not a
+	// re-decode: a second AnalyzeLean returns the identical object.
+	if sRec.AnalyzeLean() != rec {
+		t.Fatal("background-decoded analysis not cached")
 	}
 }
 
 // Analyzing while armed ("what has the profile seen so far?") stitches the
-// drained segments plus a live dump of the card's partial bank. In pipeline
-// mode that live tail is also decoded — later, by the background pipe, once
-// a drain actually reads it out. The two consumers must stay independent: a
-// mid-run Analyze may not perturb the pipe (or the simulation), and its
-// result must be byte-identical to the serial path's mid-run view.
+// drained segments plus a live dump of the card's partial bank. That
+// observation must perturb nothing: a run with a mid-run Analyze finishes
+// byte-identical to the same run without one.
 func TestMidRunAnalyzePipelineEquivalence(t *testing.T) {
-	run := func(pipeline bool) (*Session, *analyze.Analysis, *analyze.Analysis) {
+	run := func(observe bool) (*Session, *analyze.Analysis, *analyze.Analysis) {
 		m := NewMachine(kernel.Config{Seed: 11})
 		s, err := NewSession(m, ProfileConfig{
 			Mode:  CaptureContinuous,
 			Depth: 256,
-			Drain: DrainConfig{
-				HighWater: 64,
-				Interval:  20 * sim.Microsecond,
-				Pipeline:  pipeline,
-			},
+			Drain: DrainConfig{HighWater: 64, Interval: 20 * sim.Microsecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -514,40 +494,39 @@ func TestMidRunAnalyzePipelineEquivalence(t *testing.T) {
 		s.Arm()
 		mallocStorm(m, 300)
 		m.K.Run(1 * sim.Second)
-		// Mid-run observation: still armed, some segments drained, a
-		// partial bank live on the card.
-		if len(s.Segments()) < 2 {
-			t.Fatalf("only %d segments drained before the mid-run analyze", len(s.Segments()))
+		var mid *analyze.Analysis
+		if observe {
+			// Mid-run observation: still armed, some segments drained, a
+			// partial bank live on the card.
+			if len(s.Segments()) < 2 {
+				t.Fatalf("only %d segments drained before the mid-run analyze", len(s.Segments()))
+			}
+			if s.Card.Stored() == 0 {
+				t.Fatal("no partial bank on the card at the mid-run analyze")
+			}
+			mid = s.Analyze()
 		}
-		mid := s.Analyze()
 		m.K.Run(2 * sim.Second)
 		s.Disarm()
 		return s, mid, s.AnalyzeLean()
 	}
-	sSer, midSer, finSer := run(false)
-	sPipe, midPipe, finPipe := run(true)
+	sPlain, _, plain := run(false)
+	sObs, mid, fin := run(true)
 
-	if got, want := midPipe.SummaryString(0), midSer.SummaryString(0); got != want {
-		t.Fatalf("mid-run summary differs between pipeline and serial:\n--- serial\n%s--- pipelined\n%s", want, got)
+	if mid.Stats.Records <= 0 || mid.Stats.Records >= fin.Stats.Records {
+		t.Fatalf("mid-run analysis saw %d records, final %d", mid.Stats.Records, fin.Stats.Records)
 	}
-	if midSer.Stats.Records <= 0 || midPipe.Stats.Records != midSer.Stats.Records {
-		t.Fatalf("mid-run records: serial %d, pipelined %d", midSer.Stats.Records, midPipe.Stats.Records)
+	if got, want := fin.SummaryString(0), plain.SummaryString(0); got != want {
+		t.Fatalf("final summary differs after a mid-run analyze:\n--- unobserved\n%s--- observed\n%s", want, got)
 	}
-
-	// The observation perturbed nothing: the finished captures agree with
-	// each other byte for byte, and the pipelined session still serves the
-	// background decoder's cached result.
-	if got, want := finPipe.SummaryString(0), finSer.SummaryString(0); got != want {
-		t.Fatalf("final summary differs after a mid-run analyze:\n--- serial\n%s--- pipelined\n%s", want, got)
+	if got, want := fin.SegmentsString(), plain.SegmentsString(); got != want {
+		t.Fatalf("final segment tables differ after a mid-run analyze:\n--- unobserved\n%s--- observed\n%s", want, got)
 	}
-	if finPipe.Stats != finSer.Stats {
-		t.Fatalf("final stats differ: serial %+v, pipelined %+v", finSer.Stats, finPipe.Stats)
+	if fin.Stats != plain.Stats {
+		t.Fatalf("final stats differ: unobserved %+v, observed %+v", plain.Stats, fin.Stats)
 	}
-	if sPipe.AnalyzeLean() != finPipe {
-		t.Fatal("mid-run analyze evicted the pipelined analysis cache")
-	}
-	if sSer.DrainErr() != nil || sPipe.DrainErr() != nil {
-		t.Fatalf("drain errors: serial %v, pipelined %v", sSer.DrainErr(), sPipe.DrainErr())
+	if sPlain.DrainErr() != nil || sObs.DrainErr() != nil {
+		t.Fatalf("drain errors: unobserved %v, observed %v", sPlain.DrainErr(), sObs.DrainErr())
 	}
 }
 

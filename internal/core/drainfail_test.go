@@ -17,8 +17,9 @@ import (
 // the strobe stream is bit-identical to a clean run's — and a failed drain
 // resets the card exactly like a successful one, so the fill-level
 // trajectory and every drain boundary line up too. That makes the clean run
-// a strobe-for-strobe reference for the glitched one.
-func runGlitched(t *testing.T, fc *faults.Config, pipeline bool) (*Session, *analyze.Analysis, Progress) {
+// a strobe-for-strobe reference for the glitched one. recycle selects the
+// background-decoding, buffer-reusing drain path.
+func runGlitched(t *testing.T, fc *faults.Config, recycle bool) (*Session, *analyze.Analysis, Progress) {
 	t.Helper()
 	m := NewMachine(kernel.Config{Seed: 11})
 	s, err := NewSession(m, ProfileConfig{
@@ -27,7 +28,7 @@ func runGlitched(t *testing.T, fc *faults.Config, pipeline bool) (*Session, *ana
 		Drain: DrainConfig{
 			HighWater: 64,
 			Interval:  20 * sim.Microsecond,
-			Pipeline:  pipeline,
+			Recycle:   recycle,
 		},
 		Faults: fc,
 	})
@@ -123,10 +124,10 @@ func TestGlitchedDrainCaptureContinues(t *testing.T) {
 	}
 }
 
-// TestGlitchedDrainPipelineMatchesSerial pins the pipelined decoder's view
-// of a glitched run to the serial path's: stranded segments flow through
-// the pipe as empty batches with their drop counts, so both paths see the
-// identical boundary sequence.
+// TestGlitchedDrainPipelineMatchesSerial pins the background decoder's
+// view of a glitched run to the record-keeping path's: stranded segments
+// flow through the pipe as empty batches with their drop counts, so both
+// paths see the identical boundary sequence.
 func TestGlitchedDrainPipelineMatchesSerial(t *testing.T) {
 	sSer, serial, _ := runGlitched(t, glitchAll, false)
 	sPipe, piped, _ := runGlitched(t, glitchAll, true)

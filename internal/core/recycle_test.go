@@ -8,9 +8,10 @@ import (
 	"kprof/internal/sim"
 )
 
-// runForRecycle profiles the drain-equivalence workload with the pipelined
-// decoder, optionally recycling drained record buffers.
-func runForRecycle(t *testing.T, recycle bool) *Session {
+// runDrained profiles the drain-equivalence workload under continuous
+// capture, keeping every drained record or (recycle) decoding in the
+// background and reusing the readout buffers.
+func runDrained(t *testing.T, recycle bool) *Session {
 	t.Helper()
 	m := NewMachine(kernel.Config{Seed: 11})
 	s, err := NewSession(m, ProfileConfig{
@@ -19,7 +20,6 @@ func runForRecycle(t *testing.T, recycle bool) *Session {
 		Drain: DrainConfig{
 			HighWater: 64,
 			Interval:  20 * sim.Microsecond,
-			Pipeline:  true,
 			Recycle:   recycle,
 		},
 	})
@@ -33,42 +33,34 @@ func runForRecycle(t *testing.T, recycle bool) *Session {
 	return s
 }
 
-// TestRecycleMatchesResident pins the recycling drain loop's analysis to
-// the record-retaining one's, byte for byte: recycling changes where the
-// drained bytes live, never what they say.
+// TestRecycleMatchesResident pins the recycling segment store to the
+// record-retaining one's: the same drains with the same record counts,
+// but only the counts and loss metadata stay host-side. (The analyses are
+// compared byte for byte in TestPipelinedDecodeMatchesSerial.)
 func TestRecycleMatchesResident(t *testing.T) {
-	sKeep := runForRecycle(t, false)
-	sRec := runForRecycle(t, true)
-	keep, rec := sKeep.AnalyzeLean(), sRec.AnalyzeLean()
-	if got, want := rec.SummaryString(0), keep.SummaryString(0); got != want {
-		t.Fatalf("recycled summary differs from resident:\n--- resident\n%s--- recycled\n%s", want, got)
+	sKeep, sRec := runDrained(t, false), runDrained(t, true)
+	keepSegs, recSegs := sKeep.Segments(), sRec.Segments()
+	if len(keepSegs) != len(recSegs) {
+		t.Fatalf("segment counts differ: resident %d, recycled %d", len(keepSegs), len(recSegs))
 	}
-	if rec.Stats != keep.Stats {
-		t.Fatalf("stats differ: resident %+v, recycled %+v", keep.Stats, rec.Stats)
-	}
-	if got, want := rec.SegmentsString(), keep.SegmentsString(); got != want {
-		t.Fatalf("segment tables differ:\n--- resident\n%s--- recycled\n%s", want, got)
-	}
-
-	// The segment store kept counts and loss metadata, not records.
-	var keepRecs, recRecs int
-	for _, seg := range sKeep.Segments() {
-		keepRecs += seg.Records
-		if seg.Records != seg.Capture.Len() {
-			t.Fatalf("resident segment count %d != %d records held", seg.Records, seg.Capture.Len())
+	total := 0
+	for i := range keepSegs {
+		keep, rec := keepSegs[i], recSegs[i]
+		if keep.Records != keep.Capture.Len() {
+			t.Fatalf("resident segment %d count %d != %d records held", i, keep.Records, keep.Capture.Len())
 		}
-	}
-	for _, seg := range sRec.Segments() {
-		recRecs += seg.Records
-		if !seg.Recycled {
-			t.Fatal("recycling session produced an unrecycled segment")
+		if keep.Records != rec.Records || keep.DrainedAt != rec.DrainedAt ||
+			keep.Capture.Dropped != rec.Capture.Dropped {
+			t.Fatalf("segment %d differs: resident %d records at %v (%d dropped), recycled %d at %v (%d dropped)",
+				i, keep.Records, keep.DrainedAt, keep.Capture.Dropped, rec.Records, rec.DrainedAt, rec.Capture.Dropped)
 		}
-		if seg.Capture.Records != nil {
-			t.Fatal("recycled segment still holds its record buffer")
+		if !rec.Recycled || rec.Capture.Records != nil {
+			t.Fatalf("recycling session's segment %d still holds its record buffer", i)
 		}
+		total += rec.Records
 	}
-	if keepRecs != recRecs || keepRecs == 0 {
-		t.Fatalf("drained record counts differ: resident %d, recycled %d", keepRecs, recRecs)
+	if total == 0 {
+		t.Fatal("no records drained")
 	}
 }
 
@@ -76,15 +68,7 @@ func TestRecycleMatchesResident(t *testing.T) {
 // records are gone, so re-decoding them must fail loudly, not return an
 // empty analysis.
 func TestRecycleContract(t *testing.T) {
-	if _, err := NewSession(NewMachine(kernel.Config{Seed: 1}), ProfileConfig{
-		Mode:  CaptureContinuous,
-		Depth: 256,
-		Drain: DrainConfig{Recycle: true},
-	}); err == nil {
-		t.Fatal("Recycle without Pipeline accepted")
-	}
-
-	s := runForRecycle(t, true)
+	s := runDrained(t, true)
 	if len(s.Segments()) < 2 {
 		t.Fatalf("only %d segments drained", len(s.Segments()))
 	}
@@ -103,9 +87,9 @@ func TestRecycleContract(t *testing.T) {
 	}
 	mustPanic("Analyze", func() { s.Analyze() })
 
-	// Invalidate the pipelined result's coverage (fresh capture after the
-	// pipe closed): the lean fallback would re-decode, so it must panic
-	// too rather than analyze nil record lists.
+	// A re-arm extends the capture past what the background decode
+	// covered: the lean path would have to re-decode the recycled
+	// segments, so it must panic too rather than analyze nil record lists.
 	s.Arm()
 	mallocStorm(s.M, 50)
 	s.M.K.Run(s.M.K.Now() + 500*sim.Millisecond)

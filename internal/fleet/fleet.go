@@ -43,6 +43,7 @@ import (
 	"strconv"
 	"strings"
 
+	"kprof/internal/analyze"
 	"kprof/internal/sim"
 	"kprof/internal/sweep"
 	"kprof/internal/workload"
@@ -264,7 +265,7 @@ type Result struct {
 // only on the committed samples and the window width — not on worker
 // count, staging bound, or ingest interleaving.
 func (r *Result) Write(w io.Writer, top int) error {
-	ew := &errWriter{w: w}
+	ew := &analyze.ErrWriter{W: w}
 	fmt.Fprintf(ew, "Fleet of %d machines: %d segments ingested (%d records, %d dropped strobes), watermark %d us\n",
 		r.Machines, r.Segments, r.Records, r.Dropped, r.WatermarkUS)
 	fmt.Fprintf(ew, "%d windows of %d us:\n", len(r.Windows), r.WindowUS)
@@ -279,8 +280,8 @@ func (r *Result) Write(w io.Writer, top int) error {
 			ws.Index, ws.StartUS, ws.EndUS, ws.Machines, ws.Segments, ws.Records, ws.Dropped, topFn)
 	}
 	fmt.Fprintln(ew)
-	if ew.err != nil {
-		return ew.err
+	if ew.Err != nil {
+		return ew.Err
 	}
 	return r.Agg.Write(w, top)
 }
@@ -395,22 +396,4 @@ func sortedMachineIDs[V any](m map[int]V) []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// errWriter passes writes through until one fails, then remembers the
-// first error (the same pattern as the analyze/sweep report writers).
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (ew *errWriter) Write(p []byte) (int, error) {
-	if ew.err != nil {
-		return 0, ew.err
-	}
-	n, err := ew.w.Write(p)
-	if err != nil {
-		ew.err = err
-	}
-	return n, err
 }

@@ -102,7 +102,7 @@ func (p *Plan) Options() instrument.Options {
 
 // Write renders the plan, picks in canonical order.
 func (p *Plan) Write(w io.Writer) error {
-	ew := &errWriter{w: w}
+	ew := &analyze.ErrWriter{W: w}
 	fmt.Fprintf(ew, "instrumentation plan: %d functions (%d tags), %d us attributed, %d us trigger overhead\n",
 		len(p.Picks), p.TagsUsed, p.NetNs/1000, p.OverheadNs/1000)
 	fmt.Fprintf(ew, "%-20s %-14s %10s %8s %8s\n", "function", "module", "net us", "calls", "ovh us")
@@ -114,7 +114,7 @@ func (p *Plan) Write(w io.Writer) error {
 		fmt.Fprintf(ew, "%-20s %-14s %10d %8d %8d\n",
 			c.Name, mod, c.NetNs/1000, c.Calls, c.Overhead(DefaultTriggerNs)/1000)
 	}
-	return ew.err
+	return ew.Err
 }
 
 // CandidatesFromAnalysis extracts optimizer candidates from a prior
@@ -283,24 +283,6 @@ func Optimize(cands []Candidate, b Budget) *Plan {
 		plan.Picks[i] = cs[idx]
 	}
 	return plan
-}
-
-// errWriter folds the first write error, the report-writer idiom shared
-// with internal/analyze.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (ew *errWriter) Write(p []byte) (int, error) {
-	if ew.err != nil {
-		return len(p), nil
-	}
-	n, err := ew.w.Write(p)
-	if err != nil {
-		ew.err = err
-	}
-	return n, nil
 }
 
 // us renders a sim.Time in microseconds for reports.

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"kprof/internal/analyze"
 	"kprof/internal/core"
 	"kprof/internal/kernel"
 	"kprof/internal/sim"
+	"kprof/internal/sweep"
 	"kprof/internal/workload"
 )
 
@@ -252,7 +252,7 @@ func abs(v int64) int64 {
 // the agreement verdict, the re-profiled bottleneck, and the biggest
 // movers (top rows of the before/after comparison).
 func (r *LoopResult) Write(w io.Writer, top int) error {
-	ew := &errWriter{w: w}
+	ew := &analyze.ErrWriter{W: w}
 	fmt.Fprintf(ew, "pgo optimize-verify: scenario %s, seed %d, work unit = %s call\n",
 		r.Scenario, r.Seed, r.WorkFn)
 	fmt.Fprintf(ew, "baseline: run %d us over %d units -> %d us/unit\n",
@@ -294,7 +294,7 @@ func (r *LoopResult) Write(w io.Writer, top int) error {
 			return err
 		}
 	}
-	return ew.err
+	return ew.Err
 }
 
 // verdict names a WhatIf's direction the way the report prints it.
@@ -340,8 +340,8 @@ type LoopSweep struct {
 
 // RunLoopSweep verifies every change across seeds: each seed runs the
 // full optimize-verify loop on its own machine (parallel workers, 0 =
-// serial), and the verdicts fold in seed order so the result is
-// identical whatever the worker count.
+// serial — sweep.ForEach's floor), and the verdicts fold in seed order so
+// the result is identical whatever the worker count.
 func RunLoopSweep(cfg LoopConfig, seeds []uint64, parallel int) (*LoopSweep, error) {
 	cfg.defaults()
 	if len(seeds) == 0 {
@@ -349,31 +349,11 @@ func RunLoopSweep(cfg LoopConfig, seeds []uint64, parallel int) (*LoopSweep, err
 	}
 	results := make([]*LoopResult, len(seeds))
 	errs := make([]error, len(seeds))
-	workers := parallel
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				c := cfg
-				c.Seed = seeds[idx]
-				results[idx], errs[idx] = RunLoop(c)
-			}
-		}()
-	}
-	for idx := range seeds {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
+	sweep.ForEach(len(seeds), parallel, func(idx int) {
+		c := cfg
+		c.Seed = seeds[idx]
+		results[idx], errs[idx] = RunLoop(c)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -400,7 +380,7 @@ func RunLoopSweep(cfg LoopConfig, seeds []uint64, parallel int) (*LoopSweep, err
 
 // Write renders the sweep-level verification table.
 func (s *LoopSweep) Write(w io.Writer) error {
-	ew := &errWriter{w: w}
+	ew := &analyze.ErrWriter{W: w}
 	fmt.Fprintf(ew, "pgo optimize-verify sweep: scenario %s, %d seeds, work unit = %s call\n",
 		s.Scenario, len(s.Seeds), s.WorkFn)
 	fmt.Fprintf(ew, "%-18s %10s %10s %12s %12s\n",
@@ -411,7 +391,7 @@ func (s *LoopSweep) Write(w io.Writer) error {
 			o.Name, o.SignAgree, o.Seeds, o.Within, o.Seeds,
 			o.EstDeltaUS.Mean, o.VerDeltaUS.Mean)
 	}
-	return ew.err
+	return ew.Err
 }
 
 // String renders the sweep table.

@@ -224,7 +224,7 @@ func (g *Aggregate) Fn(name string) (*FnAggregate, bool) {
 // a stability marker ('*' = appeared in every seed with CV within
 // DefaultStableCV).
 func (g *Aggregate) Write(w io.Writer, top int) error {
-	ew := &errWriter{w: w}
+	ew := &analyze.ErrWriter{W: w}
 	fmt.Fprintf(ew, "Sweep of %s across %d seeds\n", g.Scenario, g.Seeds)
 	fmt.Fprintf(ew, "Elapsed us = %.0f ± %.0f  [%.0f, %.0f]\n",
 		g.ElapsedUS.Mean, g.ElapsedUS.Std(), g.ElapsedUS.Min(), g.ElapsedUS.Max())
@@ -248,7 +248,7 @@ func (g *Aggregate) Write(w io.Writer, top int) error {
 			f.NetUS.Mean, f.NetUS.Std(), f.PctNet.Mean, f.PctNet.Std(),
 			f.Calls.Mean, f.PctNet.CV(), f.Seeds, marker, f.Name)
 	}
-	return ew.err
+	return ew.Err
 }
 
 // String renders the top 20 functions.
@@ -256,23 +256,4 @@ func (g *Aggregate) String() string {
 	var b strings.Builder
 	_ = g.Write(&b, 20)
 	return b.String()
-}
-
-// errWriter passes writes through until one fails, then remembers the
-// first error — so Write stays a straight-line sequence of Fprintfs and
-// still reports a full disk or closed pipe instead of pretending success.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (ew *errWriter) Write(p []byte) (int, error) {
-	if ew.err != nil {
-		return 0, ew.err
-	}
-	n, err := ew.w.Write(p)
-	if err != nil {
-		ew.err = err
-	}
-	return n, err
 }

@@ -149,26 +149,13 @@ func Run(cfg Config) (*Result, error) {
 
 	results := make([]SeedResult, len(cfg.Seeds))
 	errs := make([]error, len(cfg.Seeds))
-	jobs := make(chan int)
 	var observeMu sync.Mutex
 	prog := newProgressTracker(cfg)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				prog.started(cfg.Seeds[idx])
-				results[idx], errs[idx] = runSeed(cfg, sc, cfg.Seeds[idx], &observeMu)
-				prog.finished(cfg.Seeds[idx], results[idx], errs[idx])
-			}
-		}()
-	}
-	for idx := range cfg.Seeds {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
+	ForEach(len(cfg.Seeds), workers, func(idx int) {
+		prog.started(cfg.Seeds[idx])
+		results[idx], errs[idx] = runSeed(cfg, sc, cfg.Seeds[idx], &observeMu)
+		prog.finished(cfg.Seeds[idx], results[idx], errs[idx])
+	})
 
 	for _, err := range errs {
 		if err != nil {
@@ -181,6 +168,31 @@ func Run(cfg Config) (*Result, error) {
 		Agg:      aggregate(cfg.Scenario, results),
 		Workers:  workers,
 	}, nil
+}
+
+// ForEach calls do(i) for every i in [0, n) on a pool of workers
+// goroutines (clamped to [1, n]; callers pick their own default for
+// "unset"), handing indices out in ascending order, and returns once every
+// call has finished. Callers write results into per-index slots, so the
+// outcome never depends on which worker ran which index.
+func ForEach(n, workers int, do func(i int)) {
+	workers = min(max(workers, 1), n)
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				do(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
 }
 
 // progressTracker serializes OnProgress callbacks and accumulates the

@@ -85,7 +85,12 @@ const (
 	CaptureContinuous = core.CaptureContinuous
 )
 
-// DrainConfig tunes continuous capture (high-water mark and poll period).
+// DrainConfig tunes continuous capture: the high-water mark, the poll
+// period, and Recycle, which decodes drained segments on a background
+// goroutine into reused readout buffers. Recycle gives up the raw records
+// (Session.Analyze panics; Session.AnalyzeLean after Disarm serves the
+// background result), so leave it off wherever traces or saved captures
+// are wanted.
 type DrainConfig = core.DrainConfig
 
 // Segment is one drained slice of a continuous capture, held host-side.

@@ -31,20 +31,21 @@ go test ./...
 echo "== long-scenario drain golden =="
 go test -run 'TestGoldenNetReceiveLongDrain|TestGoldenProdayDrain' .
 
-echo "== sharded-reconstructor determinism (GOMAXPROCS 1/2/4) =="
-# Serial-vs-sharded byte identity must hold whatever the scheduler does:
-# the differential tests pin every retained quantity, so run them under
-# one, two and four procs, and under the race detector (unless skipped)
-# to cover the worker fan-out itself.
+echo "== drain-mode differential (GOMAXPROCS 1/2/4) =="
+# The background-decoding, buffer-recycling drain must match the
+# record-keeping drain byte for byte whatever the scheduler does, glitched
+# readouts included: run the differentials under one, two and four procs,
+# and under the race detector (unless skipped) to cover the decode
+# goroutine and the buffer handoff itself.
 for procs in 1 2 4; do
 	GOMAXPROCS=$procs go test -count=1 \
-		-run 'TestSharded|TestAnalyzeLeanShardedMatchesSerial' \
-		./internal/analyze/ ./internal/core/
+		-run 'TestPipelinedDecodeMatchesSerial|TestRecycle|TestGlitched' \
+		./internal/core/
 done
 if [ "${SKIP_RACE:-0}" != "1" ]; then
 	GOMAXPROCS=4 go test -race -count=1 \
-		-run 'TestSharded|TestAnalyzeLeanShardedMatchesSerial|TestRecycle|TestDrainZeroAlloc' \
-		./internal/analyze/ ./internal/core/ ./internal/bench/
+		-run 'TestPipelinedDecodeMatchesSerial|TestRecycle|TestDrainZeroAlloc' \
+		./internal/core/ ./internal/bench/
 fi
 
 echo "== fleet determinism + restart (GOMAXPROCS 1/2/4) =="
