@@ -76,6 +76,7 @@ func TestGoldenProdayDrain(t *testing.T) {
 	}
 	golden(t, "proday_drain_seed42.segments", a.SegmentsString())
 	golden(t, "proday_drain_seed42.summary", a.SummaryString(15))
+	golden(t, "proday_drain_seed42.pprof", string(kprof.MarshalPprof(a, kprof.PprofOptions{})))
 }
 
 // Continuous capture must not change what proday's profile says: the
