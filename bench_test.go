@@ -10,6 +10,7 @@
 package kprof_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -604,4 +605,38 @@ func BenchmarkAblationDMAController(b *testing.B) {
 	}
 	b.ReportMetric(pio, "pio_cpu_busy_%") // paper: ≈28
 	b.ReportMetric(dma, "dma_cpu_busy_%")
+}
+
+// BenchmarkAnalyzeFull measures the retaining analysis the CLI runs for a
+// drained proday capture (Session.Analyze: event list, trace timeline and
+// invocation trees all kept), reporting ns/record and allocs/record. The
+// capture is built once, outside the timed loop.
+func BenchmarkAnalyzeFull(b *testing.B) {
+	m := core.NewMachine(kernel.Config{Seed: 1})
+	p := workload.Params{Duration: sim.Second}
+	if err := workload.ProdaySetup(m, p); err != nil {
+		b.Fatal(err)
+	}
+	s, err := core.NewSession(m, core.ProfileConfig{Mode: core.CaptureContinuous})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Arm()
+	if _, err := workload.Proday(m, p); err != nil {
+		b.Fatal(err)
+	}
+	s.Disarm()
+	records := s.Analyze().Stats.Records
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Analyze()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * float64(records)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
+	b.ReportMetric(float64(records), "records")
 }
