@@ -83,6 +83,56 @@ func TestSwitchInForceClosesLostIdleInterrupt(t *testing.T) {
 	}
 }
 
+// A switch-in that finds a context still attached means that context's
+// switch-out was lost. Its open frames can never close: they are
+// force-closed as recovered at the switch-in and counted as untimed calls,
+// identically on the full and the lean path.
+func TestSwitchInForceClosesLostSwitchOut(t *testing.T) {
+	c := capOf(
+		[2]uint32{500, 0},   // a enter
+		[2]uint32{502, 10},  // b enter
+		[2]uint32{601, 30},  // swtch exit — its swtch entry was LOST
+		[2]uint32{504, 40},  // c enter: a fresh context
+		[2]uint32{505, 55},  // c exit
+		[2]uint32{600, 60},  // swtch enter
+		[2]uint32{601, 80},  // swtch exit
+		[2]uint32{506, 90},  // isaintr enter
+		[2]uint32{507, 100}, // isaintr exit
+	)
+	full := analyzeCap(t, c)
+	if full.Recovered != 2 {
+		t.Fatalf("recovered = %d, want 2 (a and b, stranded by the lost switch-out)", full.Recovered)
+	}
+	for _, name := range []string{"a", "b"} {
+		st, _ := full.Fn(name)
+		if st == nil || st.Calls != 1 || st.TimedCalls != 0 {
+			t.Fatalf("%s: stat %+v, want 1 untimed call", name, st)
+		}
+	}
+	sc, _ := full.Fn("c")
+	if sc.Calls != 1 || sc.TimedCalls != 1 || sc.Net != 15*sim.Microsecond {
+		t.Fatalf("c: stat %+v, want 1 timed call of 15 µs", sc)
+	}
+	// The trace keeps the stranded frames, closed at the switch-in: a's
+	// in-context elapsed is 30 µs, 20 of them in b.
+	for _, it := range full.Items {
+		if it.Kind != TraceEnter || (it.Node.Name != "a" && it.Node.Name != "b") {
+			continue
+		}
+		if n := it.Node; n.Complete || n.End != 30*sim.Microsecond {
+			t.Fatalf("%s: complete=%v end=%v, want force-closed at 30 µs", n.Name, n.Complete, n.End)
+		}
+		if it.Node.Name == "a" && it.Node.Net() != 10*sim.Microsecond {
+			t.Fatalf("a: net %v, want 10 µs", it.Node.Net())
+		}
+	}
+	rc := NewReconstructor(c.ClockConfig(), mustTags(t), ReconstructOptions{DiscardEvents: true, DiscardTrace: true})
+	for _, r := range c.Records {
+		rc.Push(r)
+	}
+	requireIdentical(t, "lean lost switch-out", rc.Finish(c.Overflowed, c.Dropped), full)
+}
+
 // The context switcher is whatever the tag file marks '!', not a function
 // named "swtch": its stat carries CtxSwitch and reports skip it by flag.
 func TestCtxSwitchFlagFollowsTagFile(t *testing.T) {
