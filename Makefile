@@ -37,12 +37,13 @@ gobench:
 	$(GO) test -bench=. -benchmem
 
 # Short fuzz passes over the decoder's timestamp unwrap, the
-# segment-boundary stitching state, and the hardened (fault-surviving)
-# decode pipeline.
+# segment-boundary stitching state, the hardened (fault-surviving)
+# decode pipeline, and proday-shaped drained captures.
 fuzz:
 	$(GO) test -run FuzzDecodeUnwrap -fuzz FuzzDecodeUnwrap -fuzztime 20s ./internal/analyze/
 	$(GO) test -run FuzzSegmentBoundary -fuzz FuzzSegmentBoundary -fuzztime 20s ./internal/analyze/
 	$(GO) test -run FuzzFaultedDecode -fuzz FuzzFaultedDecode -fuzztime 20s ./internal/analyze/
+	$(GO) test -run FuzzProdayDecode -fuzz FuzzProdayDecode -fuzztime 20s ./internal/analyze/
 
 # Statement-coverage floors for the packages the fault-injection claims
 # rest on (internal/analyze, internal/faults).

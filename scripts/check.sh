@@ -29,7 +29,11 @@ echo "== go test =="
 go test ./...
 
 echo "== long-scenario drain golden =="
+# TestGoldenProdayDrain also pins the drained capture's pprof bytes; the
+# export differential checks the pprof fold against a plain stack-string
+# fold on lossy, faulted and adoption-heavy captures.
 go test -run 'TestGoldenNetReceiveLongDrain|TestGoldenProdayDrain' .
+go test -run 'TestPprofFoldMatchesReference' ./internal/export/
 
 echo "== drain-mode differential (GOMAXPROCS 1/2/4) =="
 # The background-decoding, buffer-recycling drain must match the
