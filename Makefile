@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench gobench bench-check fuzz check fmt vet docs-check cover
+.PHONY: all build test race gobench bench-check fuzz check fmt vet docs-check cover
 
 all: build test
 
@@ -15,20 +15,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The perf-trajectory artifact: run the full deterministic benchmark suite
-# (streaming decode, drain-and-stitch capture, multi-seed sweep, proday
-# end to end, fleet ingest, live serving tier) and write BENCH_<n+1>.json, one
-# past the newest committed artifact — picked by the same numeric sort
-# scripts/bench_check.sh uses to choose its baseline, so the number never
-# needs a manual bump.
-bench:
-	@n=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 | tr -dc 0-9); \
-	out=BENCH_$$(( $${n:-0} + 1 )).json; \
-	echo "make bench: writing $$out"; \
-	$(GO) run ./cmd/kprof -bench $$out
-
-# Regression gate: quick benchmark run compared against the newest
-# committed BENCH_*.json (>15 % slower or more allocs per record fails).
+# Regression gate: a same-host A/B of the working tree against the newest
+# landing commit on perfbench, the benchmark BENCHMARK.json declares. It
+# fails when an end-to-end median is worse than its bound (~15 min).
 bench-check:
 	./scripts/bench_check.sh
 

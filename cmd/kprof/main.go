@@ -23,14 +23,6 @@
 //	kprof -scenario netrecv -pprof out.pb.gz -trace out.json -http :6060
 //	go tool pprof -top out.pb.gz
 //
-// The benchmark harness measures the analysis hot paths (streaming decode,
-// drain-and-stitch capture, multi-seed sweep) and gates regressions against
-// a committed BENCH_*.json artifact:
-//
-//	kprof -bench BENCH_5.json
-//	kprof -bench /tmp/now.json -benchquick
-//	kprof -benchcmp BENCH_5.json,/tmp/now.json
-//
 // Fleet mode runs N heterogeneous machines under continuous capture and
 // streams every drained segment through one ingest pipeline into a
 // windowed cross-fleet aggregate:
@@ -57,7 +49,6 @@ import (
 	"time"
 
 	"kprof/internal/analyze"
-	"kprof/internal/bench"
 	"kprof/internal/core"
 	"kprof/internal/export"
 	"kprof/internal/faults"
@@ -105,10 +96,6 @@ func main() {
 		faultsOn   = flag.Bool("faults", false, "inject deterministic hardware faults into the capture (robustness testing)")
 		faultRate  = flag.Float64("faultrate", 0.01, "per-strobe fault probability in [0,1] (needs -faults)")
 		faultSeed  = flag.Uint64("faultseed", 1, "fault-injector seed; sweeps derive a per-seed stream from it (needs -faults)")
-		benchOut   = flag.String("bench", "", "run the benchmark suite and write the BENCH json artifact to this file (- for stdout)")
-		benchQuick = flag.Bool("benchquick", false, "trim the benchmark suite to the fast check-in configuration (needs -bench)")
-		benchCmp   = flag.String("benchcmp", "", "compare two BENCH json artifacts, 'old.json,new.json'; exits 1 on regression")
-		benchTol   = flag.Float64("benchtol", 0, "regression tolerance percentage for -benchcmp (0 = 15)")
 		fleetN     = flag.Int("fleet", 0, "fleet mode: run this many machines under continuous capture through one ingest pipeline")
 		fleetMix   = flag.String("fleetmix", "netrecv", "scenario mix for -fleet, e.g. netrecv=2,proday=1 (weights cycle across machines)")
 		fleetWrk   = flag.Int("fleetworkers", 0, "projection workers for -fleet (0 = GOMAXPROCS; the report bytes do not depend on it)")
@@ -123,21 +110,6 @@ func main() {
 	if err := checkDrainFlags(*drain, *highWater, *drainEvery); err != nil {
 		fmt.Fprintln(os.Stderr, "kprof:", err)
 		os.Exit(1)
-	}
-
-	if *benchCmp != "" {
-		if err := runBenchCmp(*benchCmp, *benchTol); err != nil {
-			fmt.Fprintln(os.Stderr, "kprof:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	if *benchOut != "" {
-		if err := runBench(*benchOut, *benchQuick, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "kprof:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
 	}
 
 	var status *export.StatusServer
@@ -423,56 +395,6 @@ func runFleet(n int, mixSpec string, workers int, seed uint64, params workload.P
 			return err
 		}
 	}
-	return nil
-}
-
-// runBench executes the benchmark suite and writes the BENCH json artifact
-// to path ("-" = stdout), echoing a human-readable table to stderr.
-func runBench(path string, quick bool, seed uint64) error {
-	rep, err := bench.Run(bench.Config{Quick: quick, Seed: seed})
-	if err != nil {
-		return err
-	}
-	for _, b := range rep.Benchmarks {
-		fmt.Fprintf(os.Stderr, "kprof: %-16s %9d records  %8.1f ns/record  %7.3f allocs/record  %6.1f B/record\n",
-			b.Name, b.Records, b.NsPerRecord, b.AllocsPerRecord, b.BytesPerRecord)
-	}
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return rep.WriteJSON(w)
-}
-
-// runBenchCmp gates the artifact after the comma against the one before it,
-// reporting every benchmark that regressed past the tolerance.
-func runBenchCmp(spec string, tolerancePct float64) error {
-	oldPath, newPath, ok := strings.Cut(spec, ",")
-	if !ok || oldPath == "" || newPath == "" {
-		return fmt.Errorf("-benchcmp wants 'old.json,new.json', got %q", spec)
-	}
-	oldRep, err := bench.ReadFile(oldPath)
-	if err != nil {
-		return err
-	}
-	newRep, err := bench.ReadFile(newPath)
-	if err != nil {
-		return err
-	}
-	regs := bench.Compare(oldRep, newRep, tolerancePct)
-	if len(regs) > 0 {
-		for _, g := range regs {
-			fmt.Fprintln(os.Stderr, "kprof: regression:", g)
-		}
-		return fmt.Errorf("%d benchmark regression(s) between %s and %s", len(regs), oldPath, newPath)
-	}
-	fmt.Printf("benchcmp: %s vs %s: no regressions in %d benchmarks\n",
-		oldPath, newPath, len(newRep.Benchmarks))
 	return nil
 }
 

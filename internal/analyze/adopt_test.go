@@ -82,20 +82,39 @@ func TestAdoptPicksOldestMatchingStack(t *testing.T) {
 }
 
 // An unclosed tentative frame at adoption time is malformed input (lost
-// exit events); the analyzer must recover, not corrupt.
+// exit events); the analyzer must recover, not corrupt. The stranded frame
+// is force-closed at the adopting exit and counted as an untimed call,
+// identically on the full and the lean path.
 func TestAdoptWithUnclosedTentativeFrame(t *testing.T) {
-	a := analyzeCap(t, capOf(
+	c := capOf(
 		[2]uint32{500, 0}, [2]uint32{600, 10}, // a { swtch
 		[2]uint32{601, 20},
 		[2]uint32{504, 25},                     // c enters and never exits (lost event)
 		[2]uint32{501, 40},                     // orphan exit of a -> adopt
 		[2]uint32{502, 50}, [2]uint32{503, 60}, // life goes on
-	))
-	if a.Recovered == 0 {
-		t.Fatal("unclosed tentative frame not recovered")
+	)
+	a := analyzeCap(t, c)
+	if a.Recovered != 1 {
+		t.Fatalf("recovered = %d, want 1 (the unclosed tentative c)", a.Recovered)
 	}
 	sb, _ := a.Fn("b")
 	if sb.Calls != 1 || sb.Elapsed != 10*sim.Microsecond {
 		t.Fatalf("post-recovery b = %+v", sb)
 	}
+	if sc, _ := a.Fn("c"); sc == nil || sc.Calls != 1 || sc.TimedCalls != 0 {
+		t.Fatalf("c: stat %+v, want 1 untimed call", sc)
+	}
+	for _, it := range a.Items {
+		if it.Node != nil && it.Node.End == 0 {
+			t.Fatalf("%s left in the trace with End = 0", it.Node.Name)
+		}
+		if it.Node != nil && it.Node.Name == "c" && it.Node.End != 40*sim.Microsecond {
+			t.Fatalf("c: end %v, want force-closed at 40 µs", it.Node.End)
+		}
+	}
+	rc := NewReconstructor(c.ClockConfig(), mustTags(t), ReconstructOptions{DiscardEvents: true, DiscardTrace: true})
+	for _, r := range c.Records {
+		rc.Push(r)
+	}
+	requireIdentical(t, "lean adopt", rc.Finish(c.Overflowed, c.Dropped), a)
 }

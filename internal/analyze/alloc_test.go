@@ -9,8 +9,7 @@ import (
 // The lean streaming path (a sweep worker: events and trace discarded)
 // must reach a steady state where pushing records allocates nothing —
 // nodes come from the pool, stacks recycle, and the function table stops
-// growing. This is the claim the decode/steady benchmark gates; here it
-// is exact, not statistical.
+// growing. The ceiling is exact: zero allocations per pass.
 func TestSteadyStatePushZeroAlloc(t *testing.T) {
 	tags := mustTags(t)
 	c := pseudoCapture(3, 4096)

@@ -565,16 +565,9 @@ func (r *reconstructor) adopt(i int, ev Event) {
 			top.Children = append(top.Children, c)
 		}
 		top.childTime += r.current.doneElapsed
-		// Unclosed tentative frames would be a malformed capture;
-		// recover by discarding (counted).
-		if len(r.current.open) > 0 {
-			r.a.Recovered += len(r.current.open)
-			if !r.keepItems {
-				for _, n := range r.current.open {
-					r.freeNode(n)
-				}
-			}
-		}
+		// Unclosed tentative frames mean lost exits: force-close them as
+		// recovered, exactly as a lost switch-out's frames in switchIn.
+		r.closeAll(r.current, ev.Time)
 		r.freeStack(r.current)
 	}
 	r.current = st

@@ -133,8 +133,8 @@ type DrainConfig struct {
 	// loss metadata (Segment.Recycled, Capture.Records nil), so Analyze,
 	// and AnalyzeLean before Disarm or after a re-arm, panic rather than
 	// silently analyze an empty record list. Use it where only the final
-	// statistics matter (benchmarks), not where the records are part of
-	// the product (traces, saved captures).
+	// statistics matter, not where the records are part of the product
+	// (traces, saved captures).
 	Recycle bool
 }
 

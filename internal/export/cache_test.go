@@ -6,6 +6,7 @@ package export
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -46,6 +47,40 @@ func condGet(t *testing.T, srv *StatusServer, path, inm string) *httptest.Respon
 	}
 	srv.Handler().ServeHTTP(rec, req)
 	return rec
+}
+
+// nullRW is a ResponseWriter that keeps only its header map and status,
+// so an allocation count measures the handler, not a recorder's buffers.
+type nullRW struct {
+	h    http.Header
+	code int
+}
+
+func (w *nullRW) Header() http.Header         { return w.h }
+func (w *nullRW) Write(p []byte) (int, error) { return len(p), nil }
+func (w *nullRW) WriteHeader(code int)        { w.code = code }
+
+// Revalidating /status.json with the current ETag is the serving tier's
+// steady state: a 304 off the generation counter, with no render and no
+// snapshot lock. It costs exactly one allocation, the ETag header value.
+func TestStatusNotModifiedAllocs(t *testing.T) {
+	srv := NewStatusServer()
+	srv.OnSessionProgress(progressAt(1))
+	h := srv.Handler()
+	etag := condGet(t, srv, "/status.json", "").Header().Get("ETag")
+	req := httptest.NewRequest("GET", "/status.json", nil)
+	req.Header.Set("If-None-Match", etag)
+	w := &nullRW{h: make(http.Header)}
+	allocs := testing.AllocsPerRun(100, func() {
+		w.code = 0
+		h.ServeHTTP(w, req)
+	})
+	if w.code != http.StatusNotModified {
+		t.Fatalf("conditional GET answered %d, want 304", w.code)
+	}
+	if allocs != 1 {
+		t.Errorf("conditional GET allocates %v times per request, want exactly 1", allocs)
+	}
 }
 
 // The conformance matrix, run against every cached endpoint with that

@@ -3,10 +3,10 @@ package netstack
 // framePool recycles the real byte buffers packets travel in. The simulated
 // machine exchanges a few hundred frames per millisecond of virtual time;
 // without reuse every segment, acknowledgement and reply is a fresh heap
-// allocation, and the host-side profiler (internal/bench) charges that
-// against the capture pipeline. The pool closes the loop: output paths and
-// traffic generators Get a buffer, and it comes back with Put when the wire
-// or the mbuf chain that carried it is done.
+// allocation, charged against the capture pipeline's allocation ceiling
+// (TestDrainZeroAlloc in internal/core). The pool closes the loop: output
+// paths and traffic generators Get a buffer, and it comes back with Put
+// when the wire or the mbuf chain that carried it is done.
 //
 // Ownership rules:
 //

@@ -10,7 +10,9 @@ import (
 	"kprof/internal/core"
 	"kprof/internal/instrument"
 	"kprof/internal/kernel"
+	"kprof/internal/sim"
 	"kprof/internal/sweep"
+	"kprof/internal/workload"
 )
 
 // bruteForce enumerates every candidate subset and returns the best
@@ -189,6 +191,38 @@ func TestPlanDrivesInstrumentation(t *testing.T) {
 	if !strings.Contains(out.String(), "instrumentation plan: 8 functions (16 tags)") {
 		t.Fatalf("plan render:\n%s", out.String())
 	}
+}
+
+// planSink keeps BenchmarkOptimize's result live so the compiler cannot
+// drop the measured call.
+var planSink *Plan
+
+// BenchmarkOptimize times the exact branch-and-bound search over a full
+// card RAM's candidate set (netrecv, seed 42) with both the tag and the
+// trigger-overhead constraint active, so the solver stays interactive as
+// the kernel's function census grows.
+func BenchmarkOptimize(b *testing.B) {
+	m := core.NewMachine(kernel.Config{Seed: 42})
+	s, err := core.NewSession(m, core.ProfileConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Arm()
+	if _, err := workload.NetReceive(m, 2*sim.Second); err != nil {
+		b.Fatal(err)
+	}
+	s.Disarm()
+	cands := CandidatesFromAnalysis(s.AnalyzeLean(), nil)
+	budget := Budget{Tags: 16, OverheadNs: 2_000_000}
+	if p := Optimize(cands, budget); len(p.Picks) == 0 {
+		b.Fatalf("plan over %d candidates picked nothing", len(cands))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		planSink = Optimize(cands, budget)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cands)), "ns/candidate")
 }
 
 func TestCandidatesFromAggregate(t *testing.T) {

@@ -49,7 +49,7 @@ done
 if [ "${SKIP_RACE:-0}" != "1" ]; then
 	GOMAXPROCS=4 go test -race -count=1 \
 		-run 'TestPipelinedDecodeMatchesSerial|TestRecycle|TestDrainZeroAlloc' \
-		./internal/core/ ./internal/bench/
+		./internal/core/
 fi
 
 echo "== fleet determinism + restart (GOMAXPROCS 1/2/4) =="
@@ -102,6 +102,9 @@ fi
 echo "== coverage floors =="
 ./scripts/cover_check.sh
 
+# The benchmark gate is a same-host perfbench A/B of this tree against
+# the newest landing commit: about 15 min on a 2-core host, so SKIP_BENCH=1
+# skips it where that is too long.
 if [ "${SKIP_BENCH:-0}" != "1" ]; then
 	echo "== benchmark regression gate =="
 	./scripts/bench_check.sh
