@@ -91,7 +91,7 @@ func (ls *LiveSource) Open() (hw.Config, *tagfile.File, error) {
 // — including the final drain at Disarm. An emit error stops further
 // emission immediately; the scenario still runs to completion (the
 // simulation loop cannot be aborted mid-workload) and the error is
-// returned afterwards.
+// returned afterwards. Run then halts the machine, so it runs only once.
 func (ls *LiveSource) Run(emit func(RawSegment) error) error {
 	if ls.s == nil {
 		return fmt.Errorf("fleet: machine %d: Run before Open", ls.mc.ID)
@@ -111,6 +111,7 @@ func (ls *LiveSource) Run(emit func(RawSegment) error) error {
 	ls.s.Arm()
 	_, runErr := ls.sc.Run(ls.m, ls.mc.Params)
 	ls.s.Disarm()
+	ls.m.K.Halt()
 	if runErr != nil {
 		return fmt.Errorf("fleet: machine %d: %s: %w", ls.mc.ID, ls.mc.Scenario, runErr)
 	}

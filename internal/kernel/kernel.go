@@ -14,10 +14,11 @@
 // on hardware, and the captured event stream shows the same interleaving the
 // paper's traces do.
 //
-// Concurrency model: the simulation is logically single-threaded. Each Proc
-// is a goroutine, but exactly one goroutine runs at a time, passed an
-// execution token through channels by the scheduler; determinism follows
-// from the event queue's total order and the run queue's FIFO discipline.
+// Concurrency model: the simulation is logically single-threaded. Each
+// dispatched Proc is a goroutine, but exactly one goroutine runs at a time,
+// passed an execution token through channels by the scheduler; determinism
+// follows from the event queue's total order and the run queue's FIFO
+// discipline. Halt releases the goroutines when the machine is done.
 package kernel
 
 import (
@@ -82,6 +83,7 @@ type Kernel struct {
 	nextPID    int
 	needResch  bool
 	running    bool
+	halted     bool
 	idleActive bool
 
 	// Clock.

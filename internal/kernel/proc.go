@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"runtime"
 
 	"kprof/internal/sim"
 )
@@ -36,7 +37,9 @@ func (s ProcState) String() string {
 // Proc is a simulated process. Its body runs on its own goroutine, but
 // exactly one process (or the scheduler/idle context) executes at a time;
 // control is handed around through channels, so the simulation stays
-// deterministic.
+// deterministic. The goroutine lives from the proc's first dispatch until
+// the body returns or Halt runs: a proc that is never dispatched costs no
+// goroutine, and a halted machine leaves none behind.
 type Proc struct {
 	PID   int
 	Name  string
@@ -51,10 +54,11 @@ type Proc struct {
 	sleepTimer *Callout
 	timedOut   bool
 
-	// firstRun marks that the proc has not yet been dispatched; its first
-	// dispatch fires a bare swtch-exit trigger, modelling the child's
-	// return out of swtch into its new context.
-	firstRun bool
+	// started marks that the proc has been dispatched, so it has a
+	// goroutine, a resume channel and a call stack; its first dispatch
+	// fires a bare swtch-exit trigger, modelling the child's return out of
+	// swtch into its new context.
+	started bool
 
 	// callStack tracks this process context's Call nesting (CurrentFn).
 	callStack []*Fn
@@ -81,35 +85,42 @@ const (
 )
 
 // Spawn creates a process. It becomes runnable immediately but does not run
-// until the scheduler selects it inside Run.
+// until the scheduler selects it inside Run. It panics after Halt.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 	if body == nil {
 		panic("kernel: nil proc body")
 	}
+	if k.halted {
+		panic("kernel: Spawn after Halt")
+	}
 	p := &Proc{
-		PID:      k.nextPID,
-		Name:     name,
-		k:        k,
-		state:    ProcRunnable,
-		resume:   make(chan struct{}),
-		body:     body,
-		firstRun: true,
-		// Presized for typical Call nesting so the hot path never regrows.
-		callStack: make([]*Fn, 0, 32),
+		PID:   k.nextPID,
+		Name:  name,
+		k:     k,
+		state: ProcRunnable,
+		body:  body,
 	}
 	k.nextPID++
 	k.procs = append(k.procs, p)
 	k.runq = append(k.runq, p)
-	go p.run()
 	return p
 }
 
 // run is the process goroutine: wait for the CPU, execute the body, exit.
 func (p *Proc) run() {
-	<-p.resume
+	p.await()
 	p.onDispatch()
 	p.body(p)
 	p.exit()
+}
+
+// await parks the process goroutine until the scheduler hands it the CPU.
+// If Halt closed the channel instead, the goroutine ends here; a proc
+// parks only on its way through swtch, so no kernel code is left to run.
+func (p *Proc) await() {
+	if _, ok := <-p.resume; !ok {
+		runtime.Goexit()
+	}
 }
 
 // onDispatch runs in the process context immediately after it is handed the
@@ -155,7 +166,7 @@ func (k *Kernel) swtchOut(p *Proc, ev schedEvent) {
 	k.fireTrigger(k.fnSwtch, k.fnSwtch.entryAddr)
 	k.Advance(costSwtchSave)
 	k.toSched <- ev
-	<-p.resume
+	p.await()
 	// Back on the CPU, still logically inside swtch.
 	k.Advance(costSwtchRestore)
 	k.fireTrigger(k.fnSwtch, k.fnSwtch.exitAddr)
@@ -246,10 +257,7 @@ func (k *Kernel) NeedResched() { k.needResch = true }
 // (minus interrupt time), so Run needs no triggers of its own beyond the
 // ones processes fire on their way in and out.
 func (k *Kernel) Run(until sim.Time) {
-	if k.running {
-		panic("kernel: Run re-entered")
-	}
-	k.running = true
+	k.enterRun()
 	defer func() { k.running = false }()
 
 	for k.Now() < until {
@@ -257,24 +265,7 @@ func (k *Kernel) Run(until sim.Time) {
 			k.idleAdvance(until)
 			continue
 		}
-		p := k.runq[0]
-		k.runq = k.runq[1:]
-		if p.state == ProcZombie {
-			continue
-		}
-		p.state = ProcRunning
-		k.curproc = p
-		k.needResch = false
-		p.resume <- struct{}{}
-		ev := <-k.toSched
-		k.curproc = nil
-		switch ev {
-		case evYielded:
-			p.state = ProcRunnable
-			k.runq = append(k.runq, p)
-		case evSlept, evExited:
-			// Already accounted.
-		}
+		k.dispatch()
 	}
 }
 
@@ -282,10 +273,7 @@ func (k *Kernel) Run(until sim.Time) {
 // wake source, bounded by maxTime as a safety net. It reports the time the
 // system went fully idle.
 func (k *Kernel) RunUntilIdle(maxTime sim.Time) sim.Time {
-	if k.running {
-		panic("kernel: Run re-entered")
-	}
-	k.running = true
+	k.enterRun()
 	defer func() { k.running = false }()
 
 	for k.Now() < maxTime {
@@ -300,23 +288,75 @@ func (k *Kernel) RunUntilIdle(maxTime sim.Time) sim.Time {
 			k.idleAdvance(maxTime)
 			continue
 		}
-		p := k.runq[0]
-		k.runq = k.runq[1:]
+		k.dispatch()
+	}
+	return k.Now()
+}
+
+// enterRun marks the scheduler context active, refusing re-entry and a
+// halted machine.
+func (k *Kernel) enterRun() {
+	if k.running {
+		panic("kernel: Run re-entered")
+	}
+	if k.halted {
+		panic("kernel: Run after Halt")
+	}
+	k.running = true
+}
+
+// dispatch takes the run queue's head and, unless it has exited, hands it
+// the CPU until it sleeps, yields or exits; a yielding proc goes to the
+// back of the queue. A proc's first dispatch starts its goroutine and
+// sizes its call stack.
+func (k *Kernel) dispatch() {
+	p := k.runq[0]
+	k.runq = k.runq[1:]
+	if p.state == ProcZombie {
+		return
+	}
+	p.state = ProcRunning
+	k.curproc = p
+	k.needResch = false
+	if !p.started {
+		p.started = true
+		p.resume = make(chan struct{})
+		// Presized for typical Call nesting so the hot path never regrows.
+		p.callStack = make([]*Fn, 0, 32)
+		go p.run()
+	}
+	p.resume <- struct{}{}
+	ev := <-k.toSched
+	k.curproc = nil
+	if ev == evYielded {
+		p.state = ProcRunnable
+		k.runq = append(k.runq, p)
+	}
+}
+
+// Halt ends the machine: every proc that has not exited becomes a zombie,
+// and each one that was ever dispatched has its goroutine released from
+// where it parked in swtch. Halt does not wait for those goroutines to
+// finish exiting. Virtual time, Stats and the trigger stream are left as
+// they are. A second Halt is a no-op; Run, RunUntilIdle and Spawn panic
+// after Halt, and Halt panics inside Run.
+func (k *Kernel) Halt() {
+	if k.running {
+		panic("kernel: Halt inside Run")
+	}
+	if k.halted {
+		return
+	}
+	k.halted = true
+	for _, p := range k.procs {
 		if p.state == ProcZombie {
 			continue
 		}
-		p.state = ProcRunning
-		k.curproc = p
-		k.needResch = false
-		p.resume <- struct{}{}
-		ev := <-k.toSched
-		k.curproc = nil
-		if ev == evYielded {
-			p.state = ProcRunnable
-			k.runq = append(k.runq, p)
+		p.state = ProcZombie
+		if p.started {
+			close(p.resume)
 		}
 	}
-	return k.Now()
 }
 
 func (k *Kernel) liveProcs() int {

@@ -21,7 +21,8 @@ type Socket struct {
 
 	// rcvChains/rcvData queue received chains and their payload slices,
 	// consumed from rcvHead so the backing arrays are reused in steady
-	// state instead of reallocated by tail slicing.
+	// state instead of reallocated by tail slicing. Both are nil until the
+	// first sbappend.
 	rcvChains []*mem.Mbuf
 	rcvData   [][]byte // payload bytes parallel to rcvChains
 	rcvHead   int
@@ -57,10 +58,6 @@ func (n *Net) SoCreate(proto uint8, port uint16) (*Socket, error) {
 	}
 	so := &Socket{
 		n: n, Proto: proto, Port: port, tcb: &tcpcb{}, RcvBufCap: DefaultSockBuf,
-		// Presized for the buffered-chain high-water mark of a full
-		// receive buffer, so steady traffic never regrows the queues.
-		rcvChains: make([]*mem.Mbuf, 0, 16),
-		rcvData:   make([][]byte, 0, 16),
 	}
 	n.k.Call(n.fnSoCreate, func() {
 		n.k.Advance(costSoCreate)
@@ -111,6 +108,13 @@ func (n *Net) sbAppend(so *Socket, chain *mem.Mbuf, payload []byte) bool {
 		if so.rcvBytes+len(payload) > so.RcvBufCap {
 			n.k.SplX(s)
 			return
+		}
+		if so.rcvChains == nil {
+			// Sized at first use for the buffered-chain high-water mark
+			// of a full receive buffer, so steady traffic never regrows
+			// the queues and a socket that never receives costs nothing.
+			so.rcvChains = make([]*mem.Mbuf, 0, 16)
+			so.rcvData = make([][]byte, 0, 16)
 		}
 		so.rcvChains = append(so.rcvChains, chain)
 		so.rcvData = append(so.rcvData, payload)

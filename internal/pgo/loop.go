@@ -141,6 +141,8 @@ func (r *LoopResult) Confirmed() bool {
 // the run to a Measurement.
 func runProfiled(cfg LoopConfig, sc workload.Scenario, apply func(*core.Machine)) (Measurement, error) {
 	m := core.NewMachine(kernel.Config{Seed: cfg.Seed})
+	// Runs after the pool counters are read below: release the procs.
+	defer m.K.Halt()
 	if sc.Setup != nil {
 		if err := sc.Setup(m, cfg.Params); err != nil {
 			return Measurement{}, fmt.Errorf("pgo: seed %d: setup: %w", cfg.Seed, err)

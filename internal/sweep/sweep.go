@@ -236,6 +236,8 @@ func (t *progressTracker) finished(seed uint64, r SeedResult, err error) {
 // runSeed is one worker unit: boot, instrument, run, analyze, sample.
 func runSeed(cfg Config, sc workload.Scenario, seed uint64, observeMu *sync.Mutex) (SeedResult, error) {
 	m := core.NewMachine(kernel.Config{Seed: seed})
+	// The seed's result never reads the machine again: release its procs.
+	defer m.K.Halt()
 	if sc.Setup != nil {
 		// Scenario setup registers kernel functions (SNMP agent, NFS
 		// client); it must precede instrumentation or those functions

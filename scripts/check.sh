@@ -52,6 +52,22 @@ if [ "${SKIP_RACE:-0}" != "1" ]; then
 		./internal/core/
 fi
 
+echo "== machine release (GOMAXPROCS 1/2/4) =="
+# A halted machine leaves no proc goroutine behind, and a never-dispatched
+# proc never gets one. Halted goroutines exit while the next machine runs,
+# so run the release tests under one, two and four procs, and under the
+# race detector (unless skipped).
+for procs in 1 2 4; do
+	GOMAXPROCS=$procs go test -count=1 \
+		-run 'TestHaltReleasesProcs|TestSweepReleasesMachines' \
+		./internal/kernel/ ./internal/sweep/
+done
+if [ "${SKIP_RACE:-0}" != "1" ]; then
+	GOMAXPROCS=4 go test -race -count=1 \
+		-run 'TestHaltReleasesProcs|TestSweepReleasesMachines' \
+		./internal/kernel/ ./internal/sweep/
+fi
+
 echo "== fleet determinism + restart (GOMAXPROCS 1/2/4) =="
 # The fleet report must be byte-identical for any projection-worker count
 # and ingest interleaving, and a killed-and-restarted projector must
