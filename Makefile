@@ -27,12 +27,14 @@ gobench:
 
 # Short fuzz passes over the decoder's timestamp unwrap, the
 # segment-boundary stitching state, the hardened (fault-surviving)
-# decode pipeline, and proday-shaped drained captures.
+# decode pipeline, proday-shaped drained captures, and the streamed pprof
+# fold against the retained one.
 fuzz:
 	$(GO) test -run FuzzDecodeUnwrap -fuzz FuzzDecodeUnwrap -fuzztime 20s ./internal/analyze/
 	$(GO) test -run FuzzSegmentBoundary -fuzz FuzzSegmentBoundary -fuzztime 20s ./internal/analyze/
 	$(GO) test -run FuzzFaultedDecode -fuzz FuzzFaultedDecode -fuzztime 20s ./internal/analyze/
 	$(GO) test -run FuzzProdayDecode -fuzz FuzzProdayDecode -fuzztime 20s ./internal/analyze/
+	$(GO) test -run FuzzPprofFold -fuzz FuzzPprofFold -fuzztime 20s ./internal/export/
 
 # Statement-coverage floors for the packages the fault-injection claims
 # rest on (internal/analyze, internal/faults).

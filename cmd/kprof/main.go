@@ -111,6 +111,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kprof:", err)
 		os.Exit(1)
 	}
+	keep := retain(*report, *pprofOut, *traceOut, *httpAddr, *save)
 
 	var status *export.StatusServer
 	serveStatus := func(scenario string) {
@@ -132,10 +133,11 @@ func main() {
 	}
 	// finish flushes the exporters, publishes the analysis to the live
 	// /pprof and /trace.json endpoints, parks the status server in its
-	// "done" state, and exits the process.
-	finish := func(a *analyze.Analysis) {
+	// "done" state, and exits the process. fold, when non-nil, is the
+	// pprof profile folded during reconstruction.
+	finish := func(a *analyze.Analysis, fold *export.PprofFold) {
 		if a != nil {
-			if err := writeExports(a, *pprofOut, *traceOut); err != nil {
+			if err := writeExports(a, fold, *pprofOut, *traceOut); err != nil {
 				fmt.Fprintln(os.Stderr, "kprof:", err)
 				os.Exit(1)
 			}
@@ -153,12 +155,12 @@ func main() {
 
 	if *load != "" {
 		serveStatus("(saved capture)")
-		a, err := analyzeSaved(*load, *tagsIn, *report, *top, *maxlines, *fn)
+		a, fold, err := analyzeSaved(*load, *tagsIn, keep, *report, *top, *maxlines, *fn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kprof:", err)
 			os.Exit(1)
 		}
-		finish(a)
+		finish(a, fold)
 	}
 
 	var mods []string
@@ -224,7 +226,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "kprof:", err)
 			os.Exit(1)
 		}
-		finish(nil)
+		finish(nil, nil)
 	}
 	if *seeds != "" || *report == "sweep" {
 		// The per-run exporters need one analysis; a sweep has many.
@@ -242,17 +244,17 @@ func main() {
 			fmt.Fprintln(os.Stderr, "kprof:", err)
 			os.Exit(1)
 		}
-		finish(nil)
+		finish(nil, nil)
 	}
 	if *scenario == "embedded" || *scenario == "embedded-old" {
 		serveStatus(*scenario)
-		a, err := runEmbedded(*scenario == "embedded-old", sim.Time(duration.Nanoseconds()),
-			*seed, mods, *report, *top, *maxlines, *fn, status)
+		p, err := runEmbedded(*scenario == "embedded-old", sim.Time(duration.Nanoseconds()),
+			*seed, mods, keep, *report, *top, *maxlines, *fn, status)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kprof:", err)
 			os.Exit(1)
 		}
-		finish(a)
+		finish(p.a, p.fold)
 	}
 	serveStatus(*scenario)
 	m := core.NewMachine(kernel.Config{Seed: *seed})
@@ -264,21 +266,14 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	s, err := core.NewSession(m, profileCfg)
+	p, err := keep.profile(m, profileCfg, status, func() error {
+		return runScenario(m, *scenario, params)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kprof:", err)
 		os.Exit(1)
 	}
-	if status != nil {
-		s.SetProgress(status.OnSessionProgress)
-	}
-
-	s.Arm()
-	if err := runScenario(m, *scenario, params); err != nil {
-		fmt.Fprintln(os.Stderr, "kprof:", err)
-		os.Exit(1)
-	}
-	s.Disarm()
+	s, a := p.s, p.a
 
 	if err := s.DrainErr(); err != nil {
 		// A failed drain strands its bank — accounted as dropped strobes on
@@ -328,7 +323,6 @@ func main() {
 		f.Close()
 	}
 
-	a := s.Analyze()
 	if st, ok := s.FaultStats(); ok {
 		fmt.Fprintf(os.Stderr, "kprof: faults injected: %s\n", st)
 		fmt.Fprintf(os.Stderr, "kprof: decode found %d corrupt records, repaired %d timestamps, %d resyncs\n",
@@ -343,7 +337,7 @@ func main() {
 		fmt.Println()
 	}
 	printReport(a, m, *report, *top, *maxlines, *fn)
-	finish(a)
+	finish(a, p.fold)
 }
 
 // checkDrainFlags rejects drain tuning without -drain, which a one-shot run
@@ -432,14 +426,20 @@ func parseMix(spec string) (workload.ProdayMix, error) {
 	return m, nil
 }
 
-// writeExports runs the file exporters requested on the command line.
-func writeExports(a *analyze.Analysis, pprofPath, tracePath string) error {
+// writeExports runs the file exporters requested on the command line. The
+// pprof profile comes from fold when the run folded it during
+// reconstruction, and from a's retained trace otherwise.
+func writeExports(a *analyze.Analysis, fold *export.PprofFold, pprofPath, tracePath string) error {
 	if pprofPath != "" {
 		f, err := os.Create(pprofPath)
 		if err != nil {
 			return err
 		}
-		if err := export.WritePprof(f, a, export.PprofOptions{}); err != nil {
+		write := export.WritePprof
+		if fold != nil {
+			write = fold.Write
+		}
+		if err := write(f, a, export.PprofOptions{}); err != nil {
 			f.Close()
 			return err
 		}
@@ -583,57 +583,49 @@ func runSweep(scenario, spec string, parallel int, seed uint64, params workload.
 // runEmbedded profiles the Megadata 68020 platform (the paper's first case
 // study): `-scenario embedded` uses the recoded Ethernet driver,
 // `-scenario embedded-old` the original double-copy one.
-func runEmbedded(oldDriver bool, d sim.Time, seed uint64, mods []string, report string, top, maxlines int, fn string, status *export.StatusServer) (*analyze.Analysis, error) {
+func runEmbedded(oldDriver bool, d sim.Time, seed uint64, mods []string, keep retention, report string, top, maxlines int, fn string, status *export.StatusServer) (profiled, error) {
 	style := netstack.DriverRecoded
 	if oldDriver {
 		style = netstack.DriverOld
 	}
 	m, le := core.NewEmbeddedMachine(kernel.Config{Seed: seed}, style)
-	s, err := core.NewSession(m, core.ProfileConfig{Modules: mods})
+	var res *workload.NetReceiveResult
+	p, err := keep.profile(m, core.ProfileConfig{Modules: mods}, status, func() (err error) {
+		res, err = workload.EmbeddedNetReceive(m, le, d)
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return profiled{}, err
 	}
-	if status != nil {
-		s.SetProgress(status.OnSessionProgress)
-	}
-	s.Arm()
-	res, err := workload.EmbeddedNetReceive(m, le, d)
-	if err != nil {
-		return nil, err
-	}
-	s.Disarm()
 	fmt.Printf("embedded (68020, %v driver): %d bytes delivered, %d frames, %d drops\n\n",
 		style, res.BytesDelivered, res.Frames, res.Drops)
-	a := s.Analyze()
-	printReport(a, m, report, top, maxlines, fn)
-	return a, nil
+	printReport(p.a, m, report, top, maxlines, fn)
+	return p, nil
 }
 
-func analyzeSaved(capPath, tagsPath, report string, top, maxlines int, fn string) (*analyze.Analysis, error) {
+func analyzeSaved(capPath, tagsPath string, keep retention, report string, top, maxlines int, fn string) (*analyze.Analysis, *export.PprofFold, error) {
 	if tagsPath == "" {
-		return nil, fmt.Errorf("-load requires -tags")
+		return nil, nil, fmt.Errorf("-load requires -tags")
 	}
 	cf, err := os.Open(capPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer cf.Close()
 	c, err := hw.ReadCapture(cf)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tf, err := os.Open(tagsPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer tf.Close()
 	tags, err := tagfile.Parse(tf)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Saved captures come from arbitrary hardware in arbitrary health;
-	// analyze through the hardened pipeline.
-	a := analyze.ReconstructCapture(c, tags, analyze.ReconstructOptions{Repair: analyze.DefaultRepair()})
+	a, fold := keep.reconstruct(c, tags)
 	printReport(a, nil, report, top, maxlines, fn)
-	return a, nil
+	return a, fold, nil
 }

@@ -1,8 +1,10 @@
 package analyze
 
 import (
+	"strings"
 	"testing"
 
+	"kprof/internal/hw"
 	"kprof/internal/sim"
 )
 
@@ -117,4 +119,46 @@ func TestAdoptWithUnclosedTentativeFrame(t *testing.T) {
 		rc.Push(r)
 	}
 	requireIdentical(t, "lean adopt", rc.Finish(c.Overflowed, c.Dropped), a)
+}
+
+// The root hook sees the Figure 4 resume shape exactly as the retained
+// trace nests it: the balanced call before the orphan exit closes as a
+// top-level frame on the tentative stack and is passed at once, then is
+// passed again spliced under the resumed frame inside its root. A root
+// force-closed at a lossy boundary is never passed.
+func TestOnRootSplicesTentativeRoot(t *testing.T) {
+	var got []string
+	var fold func(prefix string, n *Node)
+	fold = func(prefix string, n *Node) {
+		stack := prefix + n.Name
+		got = append(got, stack)
+		for _, c := range n.Children {
+			fold(stack+";", c)
+		}
+	}
+	rc := NewReconstructor(hw.Config{}, mustTags(t), ReconstructOptions{
+		DiscardEvents: true,
+		DiscardTrace:  true,
+		OnRoot:        func(n *Node) { fold("", n) },
+	})
+	rc.PushBatch(capOf(
+		[2]uint32{500, 0},   // a enter       (process A)
+		[2]uint32{502, 10},  // b enter       (A blocks inside b)
+		[2]uint32{600, 20},  // swtch enter   -> idle
+		[2]uint32{601, 60},  // swtch exit    -> pending resume
+		[2]uint32{504, 65},  // c enter       (balanced call before the orphan exit)
+		[2]uint32{505, 75},  // c exit        -> tentative root, passed
+		[2]uint32{503, 90},  // b exit        <- orphan: adopts A's stack, splices c
+		[2]uint32{501, 100}, // a exit        -> a;b;c passed
+		[2]uint32{500, 110}, // a enter
+		[2]uint32{502, 120}, // b enter
+	).Records)
+	rc.EndSegment(3, false) // lossy: a and b force-closed, never passed
+	rc.PushBatch(capOf([2]uint32{504, 130}, [2]uint32{505, 140}).Records)
+	rc.Finish(false, 0)
+
+	want := []string{"c", "a", "a;b", "a;b;c", "c"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("root hook folded %q, want %q", got, want)
+	}
 }

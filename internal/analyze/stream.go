@@ -21,6 +21,20 @@ type ReconstructOptions struct {
 	// off (the historical decoder); the production pipeline
 	// (core.Session, the kprof facade) passes DefaultRepair().
 	Repair RepairConfig
+	// OnRoot, when set, receives every top-level invocation as it closes
+	// complete — the depth-0 exits of the trace timeline, in timeline
+	// order — with its whole invocation tree linked through Children
+	// (not Marks), so a consumer can fold each tree as it finishes
+	// instead of walking a retained trace afterwards (export.PprofFold).
+	// A root closed on the tentative stack of an unresolved context
+	// switch is passed too, and if that switch later resolves to a
+	// suspended process the tree is spliced under the resumed frame and
+	// passed again inside that frame's root, exactly as the retained
+	// trace nests it. Roots force-closed by loss recovery are never
+	// passed. The callback must not modify the trees: adopt may still
+	// splice a passed root, and without DiscardTrace they are the trace's
+	// own.
+	OnRoot func(*Node)
 }
 
 // Reconstructor couples the streaming Decoder to the reconstruction state
@@ -49,8 +63,9 @@ type Reconstructor struct {
 func NewReconstructor(cfg hw.Config, tags *tagfile.File, opts ReconstructOptions) *Reconstructor {
 	a := &Analysis{fns: make(map[string]*FnStat, fnStatArenaCap)}
 	rc := &Reconstructor{
-		dec:        NewRepairingDecoder(cfg, tags, opts.Repair),
-		rec:        &reconstructor{a: a, idleStack: &stack{}, keepItems: !opts.DiscardTrace},
+		dec: NewRepairingDecoder(cfg, tags, opts.Repair),
+		rec: &reconstructor{a: a, idleStack: &stack{}, keepItems: !opts.DiscardTrace,
+			onRoot: opts.OnRoot, tree: !opts.DiscardTrace || opts.OnRoot != nil},
 		keepEvents: !opts.DiscardEvents,
 	}
 	rc.emitFn = rc.emit

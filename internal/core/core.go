@@ -133,8 +133,10 @@ type DrainConfig struct {
 	// loss metadata (Segment.Recycled, Capture.Records nil), so Analyze,
 	// and AnalyzeLean before Disarm or after a re-arm, panic rather than
 	// silently analyze an empty record list. Use it where only the final
-	// statistics matter, not where the records are part of the product
-	// (traces, saved captures).
+	// statistics and a pprof profile matter — the profile folds on the
+	// background goroutine through the root hook (SetOnRoot) — not where
+	// the records or the trace are part of the product (saved captures,
+	// trace reports and exports).
 	Recycle bool
 }
 
@@ -233,6 +235,9 @@ type Session struct {
 	progressGen uint64
 	// onSegment, when set, receives each drained segment (see SetOnSegment).
 	onSegment func(Segment)
+	// onRoot, when set, is the lean reconstructions' root hook (see
+	// SetOnRoot).
+	onRoot func(*analyze.Node)
 }
 
 // Progress is a point-in-time snapshot of a session's capture state,
@@ -292,6 +297,27 @@ func (s *Session) SetProgress(fn func(Progress)) { s.progress = fn }
 // worker as they finish instead of being collected after disarm. A nil fn
 // unregisters.
 func (s *Session) SetOnSegment(fn func(Segment)) { s.onSegment = fn }
+
+// SetOnRoot registers fn as the root hook of the session's lean
+// reconstructions (analyze.ReconstructOptions.OnRoot): the background
+// decoder of a recycling capture and AnalyzeLean pass it every top-level
+// invocation tree as it closes, so a pprof fold (export.PprofFold.Root)
+// needs no retained trace. Register it before Arm: a recycling capture
+// starts decoding at Arm, and its hook runs on the decode goroutine, so
+// fn's results may be read only after Disarm. Analyze, which retains the
+// trace, does not call it. A nil fn unregisters.
+func (s *Session) SetOnRoot(fn func(*analyze.Node)) { s.onRoot = fn }
+
+// leanOptions are the lean reconstructions' options: no event list, no
+// trace, the hardened decoder, and the registered root hook.
+func (s *Session) leanOptions() analyze.ReconstructOptions {
+	return analyze.ReconstructOptions{
+		DiscardEvents: true,
+		DiscardTrace:  true,
+		Repair:        analyze.DefaultRepair(),
+		OnRoot:        s.onRoot,
+	}
+}
 
 // notifyProgress delivers a snapshot to the registered callback.
 func (s *Session) notifyProgress() {
@@ -511,11 +537,7 @@ func (s *Session) startPipe() {
 		// One buffer per in-flight batch plus the one being drained into.
 		free: make(chan *hw.ReadoutBuffer, pipeDepth+1),
 	}
-	rc := analyze.NewReconstructor(s.Card.Config(), s.Tags, analyze.ReconstructOptions{
-		DiscardEvents: true,
-		DiscardTrace:  true,
-		Repair:        analyze.DefaultRepair(),
-	})
+	rc := analyze.NewReconstructor(s.Card.Config(), s.Tags, s.leanOptions())
 	go func() {
 		defer close(p.done)
 		for b := range p.ch {
@@ -708,6 +730,8 @@ func (s *Session) Analyze() *analyze.Analysis {
 // accounting only, so a sweep worker never holds a copy of the 16384-entry
 // bank list alongside its report. Drained segments stream the same way:
 // the worker holds the segment store it already paid for, nothing more.
+// A root hook registered with SetOnRoot sees each invocation tree as it
+// closes; each call that reconstructs passes every tree again.
 func (s *Session) AnalyzeLean() *analyze.Analysis {
 	// A finished recycling capture already decoded every segment in the
 	// background (Arm drops the result when a re-arm extends the capture).
@@ -715,11 +739,7 @@ func (s *Session) AnalyzeLean() *analyze.Analysis {
 		return s.pipedA
 	}
 	s.requireResident("AnalyzeLean")
-	rc := analyze.NewReconstructor(s.Card.Config(), s.Tags, analyze.ReconstructOptions{
-		DiscardEvents: true,
-		DiscardTrace:  true,
-		Repair:        analyze.DefaultRepair(),
-	})
+	rc := analyze.NewReconstructor(s.Card.Config(), s.Tags, s.leanOptions())
 	if len(s.segments) > 0 {
 		for _, seg := range s.segments {
 			rc.PushBatch(seg.Capture.Records)

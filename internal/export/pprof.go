@@ -17,9 +17,12 @@
 //     minimal HTML view, fed by the progress hooks on core.Session and
 //     sweep.Config.
 //
-// The exporters need a full reconstruction (Session.Analyze or
+// The trace exporter needs a full reconstruction (Session.Analyze or
 // analyze.Reconstruct): the lean streaming path discards the invocation
-// trees the stacks and duration events are built from.
+// trees its duration events are built from. The pprof profile needs no
+// retained trace: a PprofFold passed as the reconstruction's root hook
+// (analyze.ReconstructOptions.OnRoot) folds each invocation tree as it
+// closes, and MarshalPprof is the same fold run over a retained trace.
 package export
 
 import (
@@ -91,16 +94,22 @@ type stackNode struct {
 	sample int32
 }
 
-// pprofBuilder assigns deterministic ids while walking the invocation
-// trees: functions and locations in first-encounter order (1:1, one
-// synthetic location per function), samples in first-encounter stack
-// order, strings in insertion order. Determinism is what makes the golden
-// byte-for-byte tests possible.
+// PprofFold accumulates a pprof profile one top-level invocation tree at a
+// time, assigning deterministic ids as it walks: functions and locations
+// in first-encounter order (1:1, one synthetic location per function),
+// samples in first-encounter stack order, strings in insertion order.
+// Determinism is what makes the golden byte-for-byte tests possible.
 //
 // Stacks fold through a trie: a stack is keyed by its parent stack's id
 // and its own location id packed into one uint64, so folding an
 // invocation is one fixed-width map lookup whatever its depth.
-type pprofBuilder struct {
+//
+// Root is shaped to be the reconstruction's root hook
+// (analyze.ReconstructOptions.OnRoot): folded that way, the profile needs
+// no retained trace. A fold is not safe for concurrent use; the hook runs
+// on whichever goroutine feeds the reconstructor, and Marshal must wait
+// for the reconstruction to finish.
+type PprofFold struct {
 	strings map[string]int64
 	strtab  []string
 	funcIDs map[string]uint64
@@ -110,17 +119,23 @@ type pprofBuilder struct {
 	samples []pprofSample
 }
 
-func newPprofBuilder() *pprofBuilder {
-	b := &pprofBuilder{
+// NewPprofFold returns an empty fold.
+func NewPprofFold() *PprofFold {
+	b := &PprofFold{
 		strings: map[string]int64{"": 0},
 		strtab:  []string{""},
 		funcIDs: map[string]uint64{},
 		stackIx: map[uint64]int32{},
 	}
+	// Pre-intern the type/unit strings so the table layout is stable
+	// regardless of function names.
+	for _, s := range []string{"calls", "count", "time", "nanoseconds"} {
+		b.str(s)
+	}
 	return b
 }
 
-func (b *pprofBuilder) str(s string) int64 {
+func (b *PprofFold) str(s string) int64 {
 	if ix, ok := b.strings[s]; ok {
 		return ix
 	}
@@ -130,7 +145,7 @@ func (b *pprofBuilder) str(s string) int64 {
 	return ix
 }
 
-func (b *pprofBuilder) loc(name string) uint64 {
+func (b *PprofFold) loc(name string) uint64 {
 	if id, ok := b.funcIDs[name]; ok {
 		return id
 	}
@@ -145,7 +160,7 @@ func (b *pprofBuilder) loc(name string) uint64 {
 // loc, adding it to the trie on first sight. Both halves of the key fit
 // in 32 bits: there is one location per function and one stack per trie
 // node.
-func (b *pprofBuilder) stack(parent int32, loc uint64) int32 {
+func (b *PprofFold) stack(parent int32, loc uint64) int32 {
 	key := uint64(uint32(parent))<<32 | loc
 	if id, ok := b.stackIx[key]; ok {
 		return id
@@ -162,7 +177,7 @@ func (b *pprofBuilder) stack(parent int32, loc uint64) int32 {
 
 // add folds one complete invocation into its stack's sample, creating the
 // sample — leaf-first locations read off the trie — the first time.
-func (b *pprofBuilder) add(id int32, ns int64) {
+func (b *PprofFold) add(id int32, ns int64) {
 	st := &b.stacks[id]
 	if st.sample < 0 {
 		locs := make([]uint64, 0, st.depth)
@@ -177,13 +192,16 @@ func (b *pprofBuilder) add(id int32, ns int64) {
 	smp.ns += ns
 }
 
+// Root folds the invocation tree rooted at n, a closed top-level frame.
+func (b *PprofFold) Root(n *analyze.Node) { b.walk(-1, n) }
+
 // walk adds every complete invocation of the tree rooted at n, whose
 // caller's stack is parent (-1 for a root). Incomplete frames (force-closed
 // or still open) have unknowable self time and contribute no sample of
 // their own, exactly as they are excluded from the summary's timed
 // statistics — but their name still appears in the stacks of their
 // complete descendants.
-func (b *pprofBuilder) walk(parent int32, n *analyze.Node) {
+func (b *PprofFold) walk(parent int32, n *analyze.Node) {
 	id := b.stack(parent, b.loc(n.Name))
 	if n.Complete {
 		ns := int64(n.Net())
@@ -204,20 +222,25 @@ func (b *pprofBuilder) walk(parent int32, n *analyze.Node) {
 // therefore shows flat = the summary report's net column and cum = its
 // elapsed column. The output is deterministic byte for byte.
 func MarshalPprof(a *analyze.Analysis, opts PprofOptions) []byte {
+	b := NewPprofFold()
+	for _, it := range a.Items {
+		if it.Kind == analyze.TraceExit && it.Node != nil && it.Depth == 0 {
+			b.Root(it.Node)
+		}
+	}
+	return b.Marshal(a, opts)
+}
+
+// Marshal encodes the folded samples as MarshalPprof does, taking the
+// capture's span and decode accounting from a — the Analysis the folded
+// reconstruction finished into.
+func (b *PprofFold) Marshal(a *analyze.Analysis, opts PprofOptions) []byte {
 	period := opts.PeriodNS
 	if period == 0 {
 		period = 1000
 	}
-	b := newPprofBuilder()
-	// Pre-intern the type/unit strings so the table layout is stable
-	// regardless of function names.
-	callsIx, countIx := b.str("calls"), b.str("count")
-	timeIx, nanosIx := b.str("time"), b.str("nanoseconds")
-	for _, it := range a.Items {
-		if it.Kind == analyze.TraceExit && it.Node != nil && it.Depth == 0 {
-			b.walk(-1, it.Node)
-		}
-	}
+	callsIx, countIx := b.strings["calls"], b.strings["count"]
+	timeIx, nanosIx := b.strings["time"], b.strings["nanoseconds"]
 	// A capture the hardened decoder had to repair carries its corruption
 	// accounting as a profile comment (`go tool pprof` prints it under
 	// "Comment:"). Interned before the string table is emitted; clean
@@ -278,8 +301,17 @@ func MarshalPprof(a *analyze.Analysis, opts PprofOptions) []byte {
 // WritePprof writes the gzipped pprof profile — the on-disk form
 // `go tool pprof` expects.
 func WritePprof(w io.Writer, a *analyze.Analysis, opts PprofOptions) error {
+	return writeGzip(w, MarshalPprof(a, opts))
+}
+
+// Write writes the folded profile gzipped, as WritePprof does.
+func (b *PprofFold) Write(w io.Writer, a *analyze.Analysis, opts PprofOptions) error {
+	return writeGzip(w, b.Marshal(a, opts))
+}
+
+func writeGzip(w io.Writer, p []byte) error {
 	zw := gzip.NewWriter(w)
-	if _, err := zw.Write(MarshalPprof(a, opts)); err != nil {
+	if _, err := zw.Write(p); err != nil {
 		return err
 	}
 	return zw.Close()

@@ -1,6 +1,7 @@
 package export
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"kprof/internal/hw"
 	"kprof/internal/kernel"
 	"kprof/internal/sim"
+	"kprof/internal/tagfile"
 	"kprof/internal/workload"
 )
 
@@ -58,10 +60,10 @@ func referenceFold(a *analyze.Analysis) []refStack {
 	return out
 }
 
-// decodedFold reads MarshalPprof's samples back as root-first stacks.
-func decodedFold(t *testing.T, a *analyze.Analysis) []refStack {
+// decodedFold reads an encoded profile's samples back as root-first stacks.
+func decodedFold(t *testing.T, raw []byte) []refStack {
 	t.Helper()
-	p := parsePprof(t, MarshalPprof(a, PprofOptions{}))
+	p := parsePprof(t, raw)
 	out := make([]refStack, len(p.samples))
 	for i, locs := range p.samples {
 		names := make([]string, len(locs))
@@ -94,7 +96,7 @@ func frameCounts(a *analyze.Analysis) (incomplete, adopted int) {
 }
 
 // prodaySession profiles a short proday run under prof.
-func prodaySession(t *testing.T, seed uint64, prof core.ProfileConfig) *core.Session {
+func prodaySession(t testing.TB, seed uint64, prof core.ProfileConfig) *core.Session {
 	t.Helper()
 	sc, ok := workload.FindScenario("proday")
 	if !ok {
@@ -175,7 +177,7 @@ func TestPprofFoldMatchesReference(t *testing.T) {
 			if adopted < 100 {
 				t.Fatalf("input adopts only %d frames across context switches", adopted)
 			}
-			want, got := referenceFold(a), decodedFold(t, a)
+			want, got := referenceFold(a), decodedFold(t, MarshalPprof(a, PprofOptions{}))
 			if len(got) != len(want) {
 				t.Fatalf("%d samples, reference folds %d stacks", len(got), len(want))
 			}
@@ -186,4 +188,193 @@ func TestPprofFoldMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// spliceCount counts the top-level invocations a retained analysis nests a
+// second time: roots closed on the tentative stack of an unresolved
+// context switch that adopt later spliced under the resumed frame. A
+// retained analysis never recycles a node, so identity is exact.
+func spliceCount(a *analyze.Analysis) int {
+	roots := map[*analyze.Node]bool{}
+	for _, it := range a.Items {
+		if it.Kind == analyze.TraceExit && it.Node != nil && it.Depth == 0 {
+			roots[it.Node] = true
+		}
+	}
+	n := 0
+	var walk func(*analyze.Node)
+	walk = func(nd *analyze.Node) {
+		for _, c := range nd.Children {
+			if roots[c] {
+				n++
+			}
+			walk(c)
+		}
+	}
+	for r := range roots {
+		walk(r)
+	}
+	return n
+}
+
+// depthZeroExits counts the trace's top-level exits: the roots MarshalPprof
+// walks.
+func depthZeroExits(a *analyze.Analysis) int {
+	n := 0
+	for _, it := range a.Items {
+		if it.Kind == analyze.TraceExit && it.Node != nil && it.Depth == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// streamFold reconstructs segs on the lean path with a PprofFold as the
+// root hook and reports the fold, the lean analysis and the hook's call
+// count.
+func streamFold(segs []hw.Capture, tags *tagfile.File) (*PprofFold, *analyze.Analysis, int) {
+	fold := NewPprofFold()
+	calls := 0
+	a := analyze.Stitch(segs, tags, analyze.ReconstructOptions{
+		DiscardEvents: true,
+		DiscardTrace:  true,
+		Repair:        analyze.DefaultRepair(),
+		OnRoot: func(n *analyze.Node) {
+			calls++
+			fold.Root(n)
+		},
+	})
+	return fold, a, calls
+}
+
+// drainedSegments lists a continuous session's drained segments as the
+// captures Stitch takes.
+func drainedSegments(s *core.Session) []hw.Capture {
+	var segs []hw.Capture
+	for _, seg := range s.Segments() {
+		segs = append(segs, seg.Capture)
+	}
+	return segs
+}
+
+// withResumeCalls inserts a zero-length splx call after every context
+// switch-in record: the shape of the paper's Figure 4, where a resumed
+// process runs a balanced call before the orphan exit that identifies it.
+// Those calls close as top-level frames on the tentative stack and are
+// spliced under the resumed frame once it is adopted; the simulated
+// kernel's own resumes never produce them.
+func withResumeCalls(t testing.TB, segs []hw.Capture, tags *tagfile.File) []hw.Capture {
+	t.Helper()
+	sw, ok1 := tags.Lookup("swtch")
+	splx, ok2 := tags.Lookup("splx")
+	if !ok1 || !ok2 {
+		t.Fatal("swtch or splx not in the tag file")
+	}
+	out := make([]hw.Capture, len(segs))
+	for i, seg := range segs {
+		recs := make([]hw.Record, 0, len(seg.Records))
+		for _, r := range seg.Records {
+			recs = append(recs, r)
+			if r.Tag == sw.ExitTag() {
+				recs = append(recs, hw.Record{Tag: splx.Tag, Stamp: r.Stamp}, hw.Record{Tag: splx.ExitTag(), Stamp: r.Stamp})
+			}
+		}
+		out[i] = seg
+		out[i].Records = recs
+	}
+	return out
+}
+
+// The pprof profile folded as each invocation tree closes, with no trace
+// retained, must equal the reference fold over a retained analysis of the
+// same records, and MarshalPprof's bytes exactly — on a clean drain, a
+// faulted one, and a lossy one whose card fills between polls. Each is
+// folded as captured and again with calls inserted at every resume
+// (withResumeCalls), which must exercise the tentative-root splice: the
+// one place a streamed tree outlives its own fold.
+func TestPprofStreamedFoldMatchesReference(t *testing.T) {
+	drain := func(hw int) core.ProfileConfig {
+		return core.ProfileConfig{Mode: core.CaptureContinuous, Depth: 2048, Drain: core.DrainConfig{HighWater: hw}}
+	}
+	cases := []struct {
+		name  string
+		seed  uint64
+		prof  core.ProfileConfig
+		check func(t *testing.T, a *analyze.Analysis)
+	}{
+		{"clean", 42, drain(0), func(t *testing.T, a *analyze.Analysis) {
+			if a.Stats.Dropped != 0 || a.Stats.CorruptRecords != 0 {
+				t.Fatalf("clean drain lost %d strobes, %d corrupt", a.Stats.Dropped, a.Stats.CorruptRecords)
+			}
+		}},
+		{"faulted", 3, func() core.ProfileConfig {
+			p := drain(0)
+			p.Faults = &faults.Config{Seed: 1, Rate: 0.02}
+			return p
+		}(), func(t *testing.T, a *analyze.Analysis) {
+			if a.Stats.CorruptRecords == 0 {
+				t.Fatal("faulted capture decoded without corruption")
+			}
+		}},
+		{"lossy", 5, core.ProfileConfig{Mode: core.CaptureContinuous, Depth: 64,
+			Drain: core.DrainConfig{HighWater: 8, Interval: 2 * sim.Millisecond}}, func(t *testing.T, a *analyze.Analysis) {
+			if a.Stats.Dropped == 0 || forceClosed(a) == 0 {
+				t.Fatalf("lossy drain dropped %d strobes and force-closed %d frames", a.Stats.Dropped, forceClosed(a))
+			}
+		}},
+	}
+	for _, tc := range cases {
+		s := prodaySession(t, tc.seed, tc.prof)
+		for _, resume := range []bool{false, true} {
+			name := tc.name
+			segs := drainedSegments(s)
+			if resume {
+				name += "+resume-calls"
+				segs = withResumeCalls(t, segs, s.Tags)
+			}
+			t.Run(name, func(t *testing.T) {
+				foldMatchesReference(t, segs, s.Tags, tc.check, resume)
+			})
+		}
+	}
+}
+
+// foldMatchesReference checks one capture for
+// TestPprofStreamedFoldMatchesReference; splice demands that the capture
+// exercise the tentative-root splice.
+func foldMatchesReference(t *testing.T, segs []hw.Capture, tags *tagfile.File, check func(*testing.T, *analyze.Analysis), splice bool) {
+	full := analyze.Stitch(segs, tags, analyze.ReconstructOptions{Repair: analyze.DefaultRepair()})
+	check(t, full)
+	if n := spliceCount(full); splice && n == 0 {
+		t.Fatal("no tentative root was spliced under a resumed frame")
+	}
+	fold, lean, calls := streamFold(segs, tags)
+	if want := depthZeroExits(full); calls != want {
+		t.Fatalf("root hook called %d times, trace has %d top-level exits", calls, want)
+	}
+	if len(lean.Items) != 0 || len(lean.Events) != 0 {
+		t.Fatalf("lean analysis retained %d items and %d events", len(lean.Items), len(lean.Events))
+	}
+	raw := fold.Marshal(lean, PprofOptions{})
+	want, got := referenceFold(full), decodedFold(t, raw)
+	if len(got) != len(want) {
+		t.Fatalf("%d samples, reference folds %d stacks", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d: got %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	if !bytes.Equal(raw, MarshalPprof(full, PprofOptions{})) {
+		t.Fatal("streamed fold's bytes differ from MarshalPprof over the retained trace")
+	}
+}
+
+// forceClosed sums the frames force-closed at lossy segment boundaries.
+func forceClosed(a *analyze.Analysis) int {
+	n := 0
+	for _, seg := range a.Segments {
+		n += seg.ForceClosed
+	}
+	return n
 }

@@ -3,12 +3,14 @@ package export
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html"
 	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"kprof/internal/analyze"
 	"kprof/internal/core"
@@ -302,17 +304,52 @@ func (s *StatusServer) Snapshot() StatusSnapshot {
 // /timeseries.json, /events (SSE), /pprof and /trace.json.
 func (s *StatusServer) Handler() http.Handler { return s.mux }
 
+// Limits of the server Start runs. A client gets readHeaderTimeout to send
+// its request headers, at most maxHeaderBytes of them, and an idle
+// keep-alive connection is closed after idleTimeout. There is no write
+// timeout: an /events stream lives as long as its subscriber keeps up (the
+// hub evicts one that does not).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 32 << 10
+)
+
 // Start listens on addr (e.g. ":6060") and serves the status in a
 // background goroutine. It returns the reachable URL and a stop function
-// that closes the listener.
+// that closes the listener and every connection, and reports why serving
+// ended if that was anything but the stop itself.
 func (s *StatusServer) Start(addr string) (string, func() error, error) {
+	return s.start(addr, readHeaderTimeout)
+}
+
+// start is Start with the header deadline as a parameter, so a test can
+// watch a stalled client get cut off without waiting out the default.
+func (s *StatusServer) start(addr string, headerTimeout time.Duration) (string, func() error, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: s.mux}
-	go srv.Serve(l)
-	return "http://" + l.Addr().String(), srv.Close, nil
+	srv := &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: headerTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	var once sync.Once
+	var stopErr error
+	stop := func() error {
+		once.Do(func() {
+			stopErr = srv.Close()
+			if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+				stopErr = err
+			}
+		})
+		return stopErr
+	}
+	return "http://" + l.Addr().String(), stop, nil
 }
 
 func (s *StatusServer) renderStatus() []byte {

@@ -5,9 +5,13 @@ package export
 
 import (
 	"encoding/json"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"kprof/internal/core"
 	"kprof/internal/faults"
@@ -153,5 +157,67 @@ func TestStatusServerFleet(t *testing.T) {
 		if !strings.Contains(html, want) {
 			t.Fatalf("HTML view missing %q:\n%s", want, html)
 		}
+	}
+}
+
+// A client that stalls partway through its request headers is cut off
+// once the header deadline passes, while a well-behaved client is served;
+// headers past the size cap are refused; and stopping the server reports
+// no error of its own.
+func TestStatusServerCutsOffStalledClient(t *testing.T) {
+	srv := NewStatusServer()
+	const deadline = 200 * time.Millisecond
+	url, stop, err := srv.start("127.0.0.1:0", deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := strings.TrimPrefix(url, "http://")
+
+	stalled, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "GET /status.json HTTP/1.1\r\nHost: kprof\r\nX-Partial: "); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	stalled.SetReadDeadline(time.Now().Add(20 * deadline))
+	_, err = io.ReadAll(stalled)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v", time.Since(start))
+	}
+	if took := time.Since(start); took < deadline/2 {
+		t.Fatalf("stalled client cut off after %v, before the %v header deadline", took, deadline)
+	}
+
+	resp, err := http.Get(url + "/status.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /status.json = %d after the stalled client, want 200", resp.StatusCode)
+	}
+
+	req, err := http.NewRequest("GET", url+"/status.json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Padding", strings.Repeat("x", 2*maxHeaderBytes))
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("oversized headers got %d, want 431", resp.StatusCode)
+	}
+
+	if err := stop(); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("second stop: %v", err)
 	}
 }

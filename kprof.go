@@ -87,9 +87,11 @@ const (
 // DrainConfig tunes continuous capture: the high-water mark, the poll
 // period, and Recycle, which decodes drained segments on a background
 // goroutine into reused readout buffers. Recycle gives up the raw records
-// (Session.Analyze panics; Session.AnalyzeLean after Disarm serves the
-// background result), so leave it off wherever traces or saved captures
-// are wanted.
+// and the trace (Session.Analyze panics; Session.AnalyzeLean after Disarm
+// serves the background result), so leave it off wherever traces or saved
+// captures are wanted. A pprof profile survives it: a root hook registered
+// with Session.SetOnRoot folds each invocation tree on the background
+// goroutine as it closes (the kprof CLI's -drain -pprof runs do this).
 type DrainConfig = core.DrainConfig
 
 // Segment is one drained slice of a continuous capture, held host-side.

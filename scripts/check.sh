@@ -52,6 +52,23 @@ if [ "${SKIP_RACE:-0}" != "1" ]; then
 		./internal/core/
 fi
 
+echo "== streamed pprof fold (GOMAXPROCS 1/2/4) =="
+# The CLI's lean paths fold pprof as each invocation tree closes — on the
+# background decode goroutine for a drained run — and must reproduce the
+# proday and netrecv goldens byte for byte; the differential checks the
+# streamed fold against a reference fold over a retained analysis on
+# clean, faulted and lossy drains. Run them under one, two and four
+# procs, and under the race detector (unless skipped) to cover the fold
+# on the pipe goroutine.
+for procs in 1 2 4; do
+	GOMAXPROCS=$procs go test -count=1 -run 'TestLeanFoldMatchesGoldens' ./cmd/kprof/
+	GOMAXPROCS=$procs go test -count=1 -run 'TestPprofStreamedFoldMatchesReference' ./internal/export/
+done
+if [ "${SKIP_RACE:-0}" != "1" ]; then
+	GOMAXPROCS=4 go test -race -count=1 -run 'TestLeanFoldMatchesGoldens' ./cmd/kprof/
+	GOMAXPROCS=4 go test -race -count=1 -run 'TestPprofStreamedFoldMatchesReference' ./internal/export/
+fi
+
 echo "== machine release (GOMAXPROCS 1/2/4) =="
 # A halted machine leaves no proc goroutine behind, and a never-dispatched
 # proc never gets one. Halted goroutines exit while the next machine runs,
@@ -89,10 +106,11 @@ echo "== serving tier: multi-client concurrency battery =="
 # The SSE hub, ETag cache and time-series ring serve many clients off the
 # capture path; their battery (100-subscriber churn, slow-client
 # eviction, cache coherence under mutation, the multi-client live-session
-# hammer) must hold under the race detector.
+# hammer, a client stalled mid-header being cut off) must hold under the
+# race detector.
 if [ "${SKIP_RACE:-0}" != "1" ]; then
 	GOMAXPROCS=4 go test -race -count=1 \
-		-run 'TestSSE|TestHub|TestETag|TestSubscribe|TestServing|TestCacheCoherence|TestTimeseries' \
+		-run 'TestSSE|TestHub|TestETag|TestSubscribe|TestServing|TestCacheCoherence|TestTimeseries|TestStatusServerCutsOffStalledClient' \
 		./internal/export/
 fi
 
@@ -111,6 +129,7 @@ go test -count=1 -run 'TestGoldenPGO' .
 
 echo "== fuzz smoke =="
 go test -run 'FuzzDecodeUnwrap|FuzzSegmentBoundary|FuzzFaultedDecode|FuzzProdayDecode' ./internal/analyze/
+go test -run 'FuzzPprofFold' ./internal/export/
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run FuzzSegmentBoundary -fuzz FuzzSegmentBoundary -fuzztime 10s ./internal/analyze/
 fi
